@@ -71,8 +71,16 @@ bool GenWire(const std::string& root) {
   wire::AppendStatsTextResponse(&responses, 6, "{\"shards\":[]}");
   wire::AppendPongResponse(&responses, 7);
 
+  // A MULTI whose keys cover all three per-key statuses, the last one a
+  // read error carrying its message.
+  std::string multi_error;
+  wire::AppendMultiResponse(&multi_error, 8,
+                            {Status::Ok(), Status::NotFound(), Status::IoError("short read")},
+                            {"v", "", ""});
+
   return Emit(root, "wire", "requests_pipelined", pipelined) &&
-         Emit(root, "wire", "responses", responses);
+         Emit(root, "wire", "responses", responses) &&
+         Emit(root, "wire", "response_multi_error", multi_error);
 }
 
 bool GenJson(const std::string& root) {

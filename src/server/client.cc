@@ -151,13 +151,19 @@ Status Client::MultiGet(const std::vector<std::string>& keys, std::vector<std::s
   if (resp.statuses.size() != keys.size()) {
     return Status::IoError("multi response count mismatch");
   }
+  Status first_error;
   for (size_t i = 0; i < keys.size(); ++i) {
-    if (resp.statuses[i] == 0) {
+    if (resp.statuses[i] == kMultiFound) {
       (*statuses)[i] = Status::Ok();
       (*values)[i] = std::move(resp.values[i]);
+    } else if (resp.statuses[i] == kMultiError) {
+      (*statuses)[i] = Status::IoError("server error: " + resp.values[i]);
+      if (first_error.ok()) {
+        first_error = (*statuses)[i];
+      }
     }
   }
-  return Status::Ok();
+  return first_error;
 }
 
 Status Client::Write(const WriteBatch& batch) {

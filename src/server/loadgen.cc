@@ -63,11 +63,15 @@ Status DrainOne(net::FramedConn* conn, std::unordered_map<uint32_t, Pending>* in
       return Status::IoError(std::string("unexpected read response ") + MsgTypeName(resp.type));
     }
     for (uint8_t s : resp.statuses) {
-      if (s != 0) {
+      if (s == kMultiError) {
+        ++st->errors;  // a failed read is not an ack
+        continue;
+      }
+      if (s == kMultiNotFound) {
         ++st->replay.not_found;
       }
+      ++st->ops_acked;
     }
-    st->ops_acked += resp.statuses.size();
   } else {
     st->replay.write_latency_ns.Record(ns);
     if (resp.type != MsgType::kOk) {

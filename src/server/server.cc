@@ -27,6 +27,8 @@ namespace gadget {
 namespace wire {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 constexpr size_t kRecvChunk = 64 << 10;
 // Gather-list cap per writev: a deep pipeline coalesces up to this many
 // queued response bursts into one syscall. Far below IOV_MAX (1024); past a
@@ -38,6 +40,14 @@ void UpdateMax(std::atomic<uint64_t>& gauge, uint64_t v) {
   while (cur < v &&
          !gauge.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
+}
+
+// Registers `fd` for reads on the epoll set `epfd`.
+bool Watch(int epfd, int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) == 0;
 }
 
 // Process-wide net-layer counters (NetStats minus the per-thread gauges).
@@ -58,210 +68,236 @@ struct OutChunk {
   uint64_t frames = 0;
 };
 
-// One live client connection. The owning IO thread is the only reader of the
-// receive state; the send side is a bounded output queue shared by workers
-// and the owner under `mu`, so response bursts never tear or reorder.
+// One live client connection. Only the reactor that owns it touches it.
 struct Conn {
-  Conn(int conn_fd, int epfd) : fd(conn_fd), owner_epfd(epfd) {}
+  explicit Conn(int conn_fd) : fd(conn_fd) {}
   ~Conn() { net::CloseFd(fd); }
   Conn(const Conn&) = delete;
   Conn& operator=(const Conn&) = delete;
 
   const int fd;
-  const int owner_epfd;  // for EPOLLOUT (re)arming from any thread
-  std::string in;        // owner-IO-thread-only: received bytes not yet framed
-  size_t off = 0;        // owner-IO-thread-only: consumed prefix of `in`
-
-  Mutex mu;
-  bool closed GUARDED_BY(mu) = false;
-  std::deque<OutChunk> outq GUARDED_BY(mu);
-  size_t outq_bytes GUARDED_BY(mu) = 0;
-  size_t head_off GUARDED_BY(mu) = 0;  // written prefix of outq.front()
-  bool write_armed GUARDED_BY(mu) = false;
-  CondVar drained{&mu};  // signaled whenever the drain frees queue bytes
-
-  // Enqueues one response burst. Workers pass may_block=true: when the queue
-  // is over `outq_limit` they wait — periodically attempting the drain
-  // themselves, because the owner reactor may itself be parked in dispatch
-  // backpressure and unable to service EPOLLOUT. Reactors pass
-  // may_block=false (a reactor must never sleep on one connection) and their
-  // own ring for the inline drain.
-  void Send(std::string_view frames, uint64_t nframes, net::UringSocket* ring,
-            bool may_block, size_t outq_limit, NetCounters* nc) {
-    if (frames.empty()) {
-      return;
-    }
-    MutexLock lock(&mu);
-    if (closed) {
-      return;
-    }
-    // A burst bigger than the limit on its own still goes out (it just waits
-    // for an empty queue): `outq_bytes != 0` keeps the wait satisfiable.
-    if (may_block && outq_bytes != 0 && outq_bytes + frames.size() > outq_limit) {
-      const auto t0 = std::chrono::steady_clock::now();
-      while (!closed && outq_bytes != 0 && outq_bytes + frames.size() > outq_limit) {
-        if (!DrainLocked(nullptr, nc)) {
-          break;  // connection died mid-drain
-        }
-        if (closed || outq_bytes == 0 || outq_bytes + frames.size() <= outq_limit) {
-          break;
-        }
-        // gadget:blocking-ok: only workers pass may_block=true; the reactor's
-        // Send(may_block=false) never enters this loop.
-        drained.WaitFor(std::chrono::milliseconds(2));
-      }
-      nc->outq_stall_micros.fetch_add(
-          static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
-                                    std::chrono::steady_clock::now() - t0)
-                                    .count()),
-          std::memory_order_relaxed);
-      if (closed) {
-        return;
-      }
-    }
-    outq.push_back(OutChunk{std::string(frames), nframes});
-    outq_bytes += frames.size();
-    UpdateMax(nc->outq_bytes_max, outq_bytes);
-    if (!write_armed) {
-      if (!DrainLocked(ring, nc)) {
-        return;
-      }
-      if (!outq.empty()) {
-        SetWriteInterestLocked(true);  // finish via EPOLLOUT on the owner
-      }
-    }
-  }
-
-  // Writes as much of the output queue as the socket accepts, coalescing up
-  // to kMaxIov queued bursts per writev. Returns false when the connection
-  // died (closed is then set); true otherwise — a true return with a
-  // non-empty queue means EAGAIN.
-  bool DrainLocked(net::UringSocket* ring, NetCounters* nc) REQUIRES(mu) {
-    while (!outq.empty()) {
-      iovec iov[kMaxIov];
-      int cnt = 0;
-      uint64_t batch_frames = 0;
-      size_t first_off = head_off;
-      for (auto it = outq.begin(); it != outq.end() && cnt < kMaxIov; ++it) {
-        iov[cnt].iov_base = const_cast<char*>(it->data.data()) + first_off;
-        iov[cnt].iov_len = it->data.size() - first_off;
-        first_off = 0;
-        batch_frames += it->frames;
-        ++cnt;
-      }
-      std::string error;
-      const ssize_t n = ring != nullptr
-                            ? ring->Writev(fd, iov, cnt, &error)
-                            : net::WritevNonBlocking(fd, iov, cnt, &error);
-      if (n == -1) {
-        return true;  // socket buffer full; caller arms EPOLLOUT
-      }
-      if (n == -2) {
-        closed = true;  // peer is gone; epoll surfaces it to the owner
-        drained.SignalAll();
-        return false;
-      }
-      nc->writev_calls.fetch_add(1, std::memory_order_relaxed);
-      nc->bytes_out.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-      UpdateMax(nc->frames_per_writev_max, batch_frames);
-      size_t written = static_cast<size_t>(n);
-      outq_bytes -= written;
-      while (written > 0) {
-        OutChunk& front = outq.front();
-        const size_t avail = front.data.size() - head_off;
-        if (written >= avail) {
-          written -= avail;
-          head_off = 0;
-          outq.pop_front();
-        } else {
-          head_off += written;
-          written = 0;
-        }
-      }
-      drained.SignalAll();
-    }
-    if (write_armed) {
-      SetWriteInterestLocked(false);
-    }
-    return true;
-  }
-
-  // Flips EPOLLOUT interest on the owning reactor's epoll set. epoll_ctl is
-  // thread-safe, so workers arm directly; ENOENT/EBADF (the owner already
-  // dropped or closed the fd) are harmless.
-  void SetWriteInterestLocked(bool want) REQUIRES(mu) {
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    ::epoll_ctl(owner_epfd, EPOLL_CTL_MOD, fd, &ev);
-    write_armed = want;
-  }
-
-  void MarkClosed() {
-    MutexLock lock(&mu);
-    closed = true;
-    drained.SignalAll();  // unblock workers stalled on this queue
-  }
+  std::string in;  // received bytes not yet framed
+  size_t off = 0;  // consumed prefix of `in`
+  std::deque<OutChunk> outq;
+  size_t outq_bytes = 0;
+  size_t head_off = 0;          // written prefix of outq.front()
+  uint32_t interest = EPOLLIN;  // events registered in the reactor's epoll set
+  Clock::time_point paused_at;  // when EPOLLIN last left `interest`
 };
 
-// Join state for a MULTI_GET whose keys span shards: each shard's worker
-// fills its positions; the last one to finish encodes and sends the single
-// MULTI response.
-struct MultiJoin {
-  std::shared_ptr<Conn> conn;
-  uint32_t id = 0;
-  Mutex mu;
-  std::vector<Status> statuses GUARDED_BY(mu);
-  std::vector<std::string> values GUARDED_BY(mu);
-  size_t remaining GUARDED_BY(mu) = 0;
-};
-
-// Join state for a cross-shard WRITE_BATCH: one OK once every shard has
-// applied its slice, or the first error.
-struct BatchJoin {
-  std::shared_ptr<Conn> conn;
-  uint32_t id = 0;
-  Mutex mu;
-  Status error GUARDED_BY(mu);
-  size_t remaining GUARDED_BY(mu) = 0;
-};
-
-// One decoded request (or per-shard slice of a fan-out request) bound for a
-// shard worker.
-struct WorkItem {
+// One request of a burst and, once its shards have run, its outcome.
+struct Call {
   MsgType type = MsgType::kPing;
   uint32_t id = 0;
-  std::string key;    // get / put / merge / delete
-  std::string value;  // put / merge operand
-
-  std::vector<std::string> keys;   // multi-get slice
-  std::vector<size_t> positions;   // original index of each key in the request
-  std::shared_ptr<MultiJoin> mjoin;
-
-  WriteBatch batch;  // write-batch slice
-  std::shared_ptr<BatchJoin> bjoin;
+  Status status;                  // writes: the first error any shard returned
+  std::vector<Status> statuses;   // reads: one per key (a GET has one)
+  std::vector<std::string> values;
+  std::string stats;              // STATS: the document at the call's turn
 };
 
-// A burst of requests from one connection for one shard.
-struct ShardTask {
-  std::shared_ptr<Conn> conn;
-  std::vector<WorkItem> items;
+// One shard's pending share of a burst: its writes build one WriteBatch and
+// its reads one MultiGet. A read of a key with a pending write runs the writes
+// first (read-your-writes), and a write of a key with a pending read runs the
+// reads first (the read sees the old value). That keeps written ∩ read = ∅,
+// so the order the two sides finally run in cannot change any result.
+struct ShardOps {
+  WriteBatch writes;
+  std::vector<uint32_t> writers;  // calls with entries in `writes`
+  std::unordered_set<std::string> written;
+  std::vector<std::string> reads;
+  std::vector<std::pair<uint32_t, uint32_t>> readers;  // (call, key index) per read
+  std::unordered_set<std::string> read;
 };
 
-struct ShardQueue {
-  Mutex mu;
-  CondVar not_empty{&mu};
-  CondVar not_full{&mu};
-  std::deque<ShardTask> tasks GUARDED_BY(mu);
-  bool stop GUARDED_BY(mu) = false;
+// The frames a reactor decoded from one connection in one wake, run to
+// completion on that reactor. Every op joins its shard's ShardOps; a
+// MULTI_GET or WRITE_BATCH that spans shards is joined in its Call. Per key,
+// ops run in decode order, and responses come out in decode order.
+class Burst {
+ public:
+  explicit Burst(ShardSet* shards)
+      : shards_(shards), ops_(static_cast<size_t>(shards->shards())) {}
+
+  // Adds one decoded request. Consumes its keys.
+  void Add(Request& req);
+  // Runs every pending store call.
+  void Run();
+  // Runs what is pending, then appends every call's response, in decode
+  // order, and starts a new burst. Returns the number of frames appended.
+  uint64_t Finish(std::string* out);
+  Call& last() { return calls_.back(); }
+
+ private:
+  void Read(uint32_t call, uint32_t index, std::string key);
+  void Write(uint32_t call, WriteBatch::Op op, const std::string& key, std::string_view value);
+  void RunWrites(size_t shard);
+  void RunReads(size_t shard);
+
+  ShardSet* shards_;
+  std::vector<ShardOps> ops_;
+  std::vector<Call> calls_;
+  std::vector<std::string> values_;  // MultiGet scratch
+  std::vector<Status> statuses_;
 };
+
+void Burst::Add(Request& req) {
+  const auto c = static_cast<uint32_t>(calls_.size());
+  Call& call = calls_.emplace_back();
+  call.type = req.type;
+  call.id = req.id;
+  switch (req.type) {
+    case MsgType::kGet:
+      req.keys.push_back(std::move(req.key));
+      [[fallthrough]];
+    case MsgType::kMultiGet:
+      call.statuses.resize(req.keys.size());
+      call.values.resize(req.keys.size());
+      for (size_t i = 0; i < req.keys.size(); ++i) {
+        Read(c, static_cast<uint32_t>(i), std::move(req.keys[i]));
+      }
+      break;
+    case MsgType::kPut:
+      Write(c, WriteBatch::Op::kPut, req.key, req.value);
+      break;
+    case MsgType::kMerge:
+      Write(c, WriteBatch::Op::kMerge, req.key, req.value);
+      break;
+    case MsgType::kDelete:
+      Write(c, WriteBatch::Op::kDelete, req.key, {});
+      break;
+    case MsgType::kWriteBatch:
+      for (size_t i = 0; i < req.batch.size(); ++i) {
+        const WriteBatch::Entry& e = req.batch.entry(i);
+        Write(c, e.op, e.key, e.value);
+      }
+      break;
+    default:  // PING and STATS touch no shard
+      break;
+  }
+}
+
+void Burst::Read(uint32_t call, uint32_t index, std::string key) {
+  const auto s = static_cast<size_t>(shards_->Route(key));
+  ShardOps& o = ops_[s];
+  if (o.written.count(key) != 0) {
+    RunWrites(s);
+  }
+  o.read.insert(key);
+  o.reads.push_back(std::move(key));
+  o.readers.emplace_back(call, index);
+}
+
+void Burst::Write(uint32_t call, WriteBatch::Op op, const std::string& key,
+                  std::string_view value) {
+  const auto s = static_cast<size_t>(shards_->Route(key));
+  ShardOps& o = ops_[s];
+  if (o.read.count(key) != 0) {
+    RunReads(s);
+  }
+  switch (op) {
+    case WriteBatch::Op::kPut:
+      o.writes.Put(key, value);
+      break;
+    case WriteBatch::Op::kMerge:
+      o.writes.Merge(key, value);
+      break;
+    case WriteBatch::Op::kDelete:
+      o.writes.Delete(key);
+      break;
+  }
+  o.written.insert(key);
+  if (o.writers.empty() || o.writers.back() != call) {
+    o.writers.push_back(call);
+  }
+}
+
+void Burst::RunWrites(size_t shard) {
+  ShardOps& o = ops_[shard];
+  if (o.writers.empty()) {
+    return;
+  }
+  KVStore* store = shards_->shard(static_cast<int>(shard));
+  // gadget:blocking-ok: run to completion — a store stall holds this reactor,
+  // and that is the server's backpressure.
+  const Status s = store->Write(o.writes);
+  for (uint32_t c : o.writers) {
+    if (calls_[c].status.ok()) {
+      calls_[c].status = s;  // a call's first error sticks
+    }
+  }
+  o.writes.Clear();
+  o.writers.clear();
+  o.written.clear();
+}
+
+void Burst::RunReads(size_t shard) {
+  ShardOps& o = ops_[shard];
+  if (o.readers.empty()) {
+    return;
+  }
+  KVStore* store = shards_->shard(static_cast<int>(shard));
+  // gadget:blocking-ok: run to completion, as in RunWrites. Status
+  // intentionally ignored: the per-key statuses carry every outcome.
+  (void)store->MultiGet(o.reads, &values_, &statuses_);
+  for (size_t i = 0; i < o.readers.size(); ++i) {
+    Call& c = calls_[o.readers[i].first];
+    c.statuses[o.readers[i].second] = std::move(statuses_[i]);
+    c.values[o.readers[i].second] = std::move(values_[i]);
+  }
+  o.reads.clear();
+  o.readers.clear();
+  o.read.clear();
+}
+
+void Burst::Run() {
+  for (size_t s = 0; s < ops_.size(); ++s) {
+    RunWrites(s);
+    RunReads(s);
+  }
+}
+
+uint64_t Burst::Finish(std::string* out) {
+  Run();
+  for (const Call& c : calls_) {
+    switch (c.type) {
+      case MsgType::kGet:
+        if (c.statuses[0].ok()) {
+          AppendValueResponse(out, c.id, c.values[0]);
+        } else if (c.statuses[0].IsNotFound()) {
+          AppendNotFoundResponse(out, c.id);
+        } else {
+          AppendErrorResponse(out, c.id, c.statuses[0].ToString());
+        }
+        break;
+      case MsgType::kMultiGet:
+        AppendMultiResponse(out, c.id, c.statuses, c.values);
+        break;
+      case MsgType::kStats:
+        AppendStatsTextResponse(out, c.id, c.stats);
+        break;
+      case MsgType::kPing:
+        AppendPongResponse(out, c.id);
+        break;
+      default:  // PUT, MERGE, DELETE, WRITE_BATCH
+        if (c.status.ok()) {
+          AppendOkResponse(out, c.id);
+        } else {
+          AppendErrorResponse(out, c.id, c.status.ToString());
+        }
+        break;
+    }
+  }
+  const uint64_t frames = calls_.size();
+  calls_.clear();
+  return frames;
+}
 
 // One reactor: a private epoll set, its connections, a wake eventfd doubling
 // as the accepted-fd handoff doorbell, and (optionally) an io_uring ring.
 struct IoThread {
   int epoll_fd = -1;
   int wake_fd = -1;
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;  // owner thread only
+  std::unordered_map<int, std::unique_ptr<Conn>> conns;  // owner thread only
   Mutex in_mu;
   std::vector<int> incoming GUARDED_BY(in_mu);  // accepted fds awaiting adoption
   // Created before the thread starts, never reassigned after: concurrent
@@ -290,7 +326,6 @@ struct Server::Impl {
   std::atomic<bool> stopping{false};
   std::vector<std::unique_ptr<IoThread>> io;
   size_t next_io = 0;  // round-robin accept cursor; thread 0 only
-  std::vector<std::unique_ptr<ShardQueue>> queues;
   NetCounters net;
 
   ~Impl() { net::CloseFd(listen_fd); }
@@ -302,19 +337,20 @@ struct Server::Impl {
   // Receives everything currently buffered on each readable connection —
   // through one io_uring wave per round when the reactor has a ring, plain
   // recv otherwise. dead[i] is set on EOF / receive error.
-  void ReadBatch(IoThread& t, const std::vector<std::shared_ptr<Conn>>& ready,
-                 std::vector<char>* dead);
-  // Drains the output queue on EPOLLOUT; drops the connection on write error.
-  void HandleWritable(IoThread& t, const std::shared_ptr<Conn>& conn);
-  // Decodes every complete frame buffered on `conn` and dispatches the
-  // resulting shard tasks. Returns false when the connection must close
-  // (protocol error — the fatal ERROR frame has already been queued).
-  bool DecodeBurst(IoThread& t, const std::shared_ptr<Conn>& conn);
-  void Dispatch(int shard, ShardTask task);
+  void ReadBatch(IoThread& t, const std::vector<Conn*>& ready, std::vector<char>* dead);
+  // Decodes every complete frame buffered on `c`, runs them, and sends their
+  // responses as one burst. Returns false when the connection must close:
+  // a protocol error (the fatal ERROR frame goes out last) or a dead peer.
+  bool DecodeBurst(IoThread& t, Burst& burst, Conn& c);
+  // Writes as much of the output queue as the socket takes, up to kMaxIov
+  // bursts per writev, then re-arms. Returns false when the peer is gone.
+  bool Drain(IoThread& t, Conn& c);
+  // Points the connection's epoll interest at its output queue: EPOLLOUT
+  // while bytes wait, and no EPOLLIN while more than conn_outq_limit bytes
+  // wait.
+  void Arm(IoThread& t, Conn& c);
+  void AddPausedTime(const Conn& c);
   void DropConn(IoThread& t, int fd);
-
-  void WorkerLoop(int shard);
-  void ExecuteTask(int shard, ShardTask& task);
 
   NetStats SnapshotNet() const;
   JsonValue NetJson() const;
@@ -358,14 +394,11 @@ void Server::Impl::AcceptAll(IoThread& t0) {
 }
 
 void Server::Impl::AdoptConn(IoThread& t, int fd) {
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (::epoll_ctl(t.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (!Watch(t.epoll_fd, fd)) {
     net::CloseFd(fd);
     return;
   }
-  t.conns.emplace(fd, std::make_shared<Conn>(fd, t.epoll_fd));
+  t.conns.emplace(fd, std::make_unique<Conn>(fd));
 }
 
 void Server::Impl::AdoptIncoming(IoThread& t) {
@@ -384,17 +417,19 @@ void Server::Impl::DropConn(IoThread& t, int fd) {
   if (it == t.conns.end()) {
     return;
   }
-  it->second->MarkClosed();
+  if ((it->second->interest & EPOLLIN) == 0) {
+    AddPausedTime(*it->second);
+  }
   ::epoll_ctl(t.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  // The fd itself closes when the last in-flight task drops its Conn ref.
-  t.conns.erase(it);
+  t.conns.erase(it);  // closes the fd
 }
 
 // gadget:reactor-context
 void Server::Impl::IoLoop(size_t tid) {
   IoThread& t = *io[tid];
+  Burst burst(shards);
   epoll_event events[64];
-  std::vector<std::shared_ptr<Conn>> readable;
+  std::vector<Conn*> readable;
   std::vector<char> dead;
   while (!stopping.load(std::memory_order_relaxed)) {
     const int n = ::epoll_wait(t.epoll_fd, events, 64, -1);
@@ -428,59 +463,28 @@ void Server::Impl::IoLoop(size_t tid) {
         DropConn(t, fd);
         continue;
       }
-      if ((ev & EPOLLOUT) != 0) {
-        HandleWritable(t, it->second);
-        if (t.conns.find(fd) == t.conns.end()) {
-          continue;  // dropped on write error
-        }
+      if ((ev & EPOLLOUT) != 0 && !Drain(t, *it->second)) {
+        DropConn(t, fd);
+        continue;
       }
       if ((ev & EPOLLIN) != 0) {
-        readable.push_back(it->second);
+        readable.push_back(it->second.get());
       }
     }
     if (!readable.empty()) {
       dead.assign(readable.size(), 0);
       ReadBatch(t, readable, &dead);
       for (size_t i = 0; i < readable.size(); ++i) {
-        if (!DecodeBurst(t, readable[i]) || dead[i] != 0) {
+        if (!DecodeBurst(t, burst, *readable[i]) || dead[i] != 0) {
           DropConn(t, readable[i]->fd);
         }
       }
     }
   }
-  // Teardown: no new frames will be read; in-flight tasks finish via their
-  // own Conn refs, and MarkClosed (inside DropConn) unblocks any worker
-  // stalled on an output queue.
-  std::vector<int> fds;
-  fds.reserve(t.conns.size());
-  for (const auto& [fd, conn] : t.conns) {
-    fds.push_back(fd);
-  }
-  for (int fd : fds) {
-    DropConn(t, fd);
-  }
-  AdoptIncoming(t);  // adopt-and-drop stragglers so their fds close
-  fds.clear();
-  for (const auto& [fd, conn] : t.conns) {
-    fds.push_back(fd);
-  }
-  for (int fd : fds) {
-    DropConn(t, fd);
-  }
+  t.conns.clear();  // closes every connection this reactor owns
 }
 
-void Server::Impl::HandleWritable(IoThread& t, const std::shared_ptr<Conn>& conn) {
-  bool dead_conn;
-  {
-    MutexLock lock(&conn->mu);
-    dead_conn = conn->closed || !conn->DrainLocked(t.uring.get(), &net);
-  }
-  if (dead_conn) {
-    DropConn(t, conn->fd);
-  }
-}
-
-void Server::Impl::ReadBatch(IoThread& t, const std::vector<std::shared_ptr<Conn>>& ready,
+void Server::Impl::ReadBatch(IoThread& t, const std::vector<Conn*>& ready,
                              std::vector<char>* dead) {
   if (t.uring != nullptr) {
     // Wave loop: every still-active connection gets one IORING_OP_RECV per
@@ -539,366 +543,123 @@ void Server::Impl::ReadBatch(IoThread& t, const std::vector<std::shared_ptr<Conn
   }
 }
 
-bool Server::Impl::DecodeBurst(IoThread& t, const std::shared_ptr<Conn>& conn) {
-  // Responses the reactor can produce itself (PONG, STATS_TEXT, trivial
-  // empty-request replies) accumulate here and go out as one queued burst.
-  std::string inline_out;
-  uint64_t inline_frames = 0;
-  std::vector<std::vector<WorkItem>> per_shard(queues.size());
-  bool ok = true;
-
+bool Server::Impl::DecodeBurst(IoThread& t, Burst& burst, Conn& c) {
+  Request req;
+  std::string error;  // connection-fatal protocol error, answered last
   for (;;) {
     FrameView frame;
     size_t consumed = 0;
-    std::string error;
     const FrameStatus fs =
-        ExtractFrame(std::string_view(conn->in).substr(conn->off), &frame, &consumed, &error);
-    if (fs == FrameStatus::kNeedMore) {
-      break;
+        ExtractFrame(std::string_view(c.in).substr(c.off), &frame, &consumed, &error);
+    if (fs != FrameStatus::kOk) {
+      break;  // torn input waits for more bytes; kError has set `error`
     }
-    if (fs == FrameStatus::kError) {
-      AppendErrorResponse(&inline_out, 0, error);  // id 0: connection-fatal
-      ++inline_frames;
-      ok = false;
-      break;
-    }
-    Request req;
     const Status ps = ParseRequest(frame, &req);
     if (!ps.ok()) {
-      AppendErrorResponse(&inline_out, 0, ps.ToString());
-      ++inline_frames;
-      ok = false;
+      error = ps.ToString();
       break;
     }
-    conn->off += consumed;
+    c.off += consumed;
     t.ops.fetch_add(1, std::memory_order_relaxed);
-    switch (req.type) {
-      case MsgType::kPing:
-        AppendPongResponse(&inline_out, req.id);
-        ++inline_frames;
-        break;
-      case MsgType::kStats:
-        AppendStatsTextResponse(&inline_out, req.id, StatsText());
-        ++inline_frames;
-        break;
-      case MsgType::kGet:
-      case MsgType::kPut:
-      case MsgType::kMerge:
-      case MsgType::kDelete: {
-        WorkItem item;
-        item.type = req.type;
-        item.id = req.id;
-        item.key = std::move(req.key);
-        item.value = std::move(req.value);
-        const int shard = shards->Route(item.key);
-        per_shard[static_cast<size_t>(shard)].push_back(std::move(item));
-        break;
-      }
-      case MsgType::kMultiGet: {
-        if (req.keys.empty()) {
-          AppendMultiResponse(&inline_out, req.id, {}, {});
-          ++inline_frames;
-          break;
-        }
-        auto join = std::make_shared<MultiJoin>();
-        join->conn = conn;
-        join->id = req.id;
-        std::unordered_map<int, size_t> slice;  // shard -> index in per-shard items
-        {
-          MutexLock lock(&join->mu);
-          join->statuses.assign(req.keys.size(), Status::NotFound());
-          join->values.assign(req.keys.size(), std::string());
-          for (size_t i = 0; i < req.keys.size(); ++i) {
-            const int shard = shards->Route(req.keys[i]);
-            auto [it, inserted] = slice.emplace(shard, 0);
-            if (inserted) {
-              WorkItem item;
-              item.type = MsgType::kMultiGet;
-              item.id = req.id;
-              item.mjoin = join;
-              per_shard[static_cast<size_t>(shard)].push_back(std::move(item));
-              it->second = per_shard[static_cast<size_t>(shard)].size() - 1;
-            }
-            WorkItem& part = per_shard[static_cast<size_t>(shard)][it->second];
-            part.keys.push_back(std::move(req.keys[i]));
-            part.positions.push_back(i);
-          }
-          join->remaining = slice.size();
-        }
-        break;
-      }
-      case MsgType::kWriteBatch: {
-        if (req.batch.empty()) {
-          AppendOkResponse(&inline_out, req.id);
-          ++inline_frames;
-          break;
-        }
-        auto join = std::make_shared<BatchJoin>();
-        join->conn = conn;
-        join->id = req.id;
-        std::unordered_map<int, size_t> slice;
-        size_t parts = 0;
-        for (size_t i = 0; i < req.batch.size(); ++i) {
-          const WriteBatch::Entry& e = req.batch.entry(i);
-          const int shard = shards->Route(e.key);
-          auto [it, inserted] = slice.emplace(shard, 0);
-          if (inserted) {
-            WorkItem item;
-            item.type = MsgType::kWriteBatch;
-            item.id = req.id;
-            item.bjoin = join;
-            per_shard[static_cast<size_t>(shard)].push_back(std::move(item));
-            it->second = per_shard[static_cast<size_t>(shard)].size() - 1;
-            ++parts;
-          }
-          WorkItem& part = per_shard[static_cast<size_t>(shard)][it->second];
-          switch (e.op) {
-            case WriteBatch::Op::kPut:
-              part.batch.Put(e.key, e.value);
-              break;
-            case WriteBatch::Op::kMerge:
-              part.batch.Merge(e.key, e.value);
-              break;
-            case WriteBatch::Op::kDelete:
-              part.batch.Delete(e.key);
-              break;
-          }
-        }
-        {
-          MutexLock lock(&join->mu);
-          join->remaining = parts;
-        }
-        break;
-      }
-      default:
-        AppendErrorResponse(&inline_out, 0, "unhandled request type");
-        ++inline_frames;
-        ok = false;
-        break;
-    }
-    if (!ok) {
-      break;
+    burst.Add(req);
+    if (req.type == MsgType::kStats) {
+      burst.Run();  // the document covers every earlier frame
+      burst.last().stats = StatsText();
     }
   }
 
   // Reclaim consumed bytes once they dominate the buffer.
-  if (conn->off > 4096 && conn->off * 2 > conn->in.size()) {
-    conn->in.erase(0, conn->off);
-    conn->off = 0;
+  if (c.off > 4096 && c.off * 2 > c.in.size()) {
+    c.in.erase(0, c.off);
+    c.off = 0;
   }
-  conn->Send(inline_out, inline_frames, t.uring.get(), /*may_block=*/false,
-             options.conn_outq_limit, &net);
-  for (size_t shard = 0; shard < per_shard.size(); ++shard) {
-    if (!per_shard[shard].empty()) {
-      ShardTask task;
-      task.conn = conn;
-      task.items = std::move(per_shard[shard]);
-      Dispatch(static_cast<int>(shard), std::move(task));
-    }
+  std::string out;
+  uint64_t frames = burst.Finish(&out);
+  if (!error.empty()) {
+    AppendErrorResponse(&out, 0, error);  // id 0: connection-fatal
+    ++frames;
   }
-  return ok;
+  if (out.empty()) {
+    return true;  // torn input only: wait for the rest
+  }
+  c.outq_bytes += out.size();
+  c.outq.push_back(OutChunk{std::move(out), frames});
+  UpdateMax(net.outq_bytes_max, c.outq_bytes);
+  return Drain(t, c) && error.empty();
 }
 
-void Server::Impl::Dispatch(int shard, ShardTask task) {
-  ShardQueue& q = *queues[static_cast<size_t>(shard)];
-  MutexLock lock(&q.mu);
-  // Blocking here IS the backpressure: this reactor stops reading every
-  // connection it owns until the stalled shard drains, and TCP pushes the
-  // wait back to the clients.
-  while (q.tasks.size() >= options.shard_queue_limit && !q.stop) {
-    // gadget:blocking-ok: deliberate — a full shard queue must stall this
-    // reactor (see the backpressure comment above).
-    q.not_full.Wait();
-  }
-  if (q.stop) {
-    return;  // shutting down; the connection is about to drop anyway
-  }
-  q.tasks.push_back(std::move(task));
-  q.not_empty.Signal();
-}
-
-void Server::Impl::WorkerLoop(int shard) {
-  ShardQueue& q = *queues[static_cast<size_t>(shard)];
-  for (;;) {
-    ShardTask task;
-    {
-      MutexLock lock(&q.mu);
-      while (q.tasks.empty() && !q.stop) {
-        q.not_empty.Wait();
-      }
-      if (q.tasks.empty()) {
-        return;  // stopped and drained
-      }
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-      q.not_full.Signal();
+bool Server::Impl::Drain(IoThread& t, Conn& c) {
+  while (!c.outq.empty()) {
+    iovec iov[kMaxIov];
+    int cnt = 0;
+    uint64_t batch_frames = 0;
+    size_t first_off = c.head_off;
+    for (auto it = c.outq.begin(); it != c.outq.end() && cnt < kMaxIov; ++it) {
+      iov[cnt].iov_base = const_cast<char*>(it->data.data()) + first_off;
+      iov[cnt].iov_len = it->data.size() - first_off;
+      first_off = 0;
+      batch_frames += it->frames;
+      ++cnt;
     }
-    if (shard == options.test_delay_shard && options.test_delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(options.test_delay_ms));
+    std::string error;
+    const ssize_t n = t.uring != nullptr ? t.uring->Writev(c.fd, iov, cnt, &error)
+                                         : net::WritevNonBlocking(c.fd, iov, cnt, &error);
+    if (n == -1) {
+      break;  // socket buffer full: EPOLLOUT resumes the drain
     }
-    ExecuteTask(shard, task);
-  }
-}
-
-void Server::Impl::ExecuteTask(int shard, ShardTask& task) {
-  KVStore* store = shards->shard(shard);
-  std::string out;  // responses for this burst, queued once at the end
-  uint64_t out_frames = 0;
-
-  // Coalescing state: consecutive simple writes build one WriteBatch,
-  // consecutive GETs build one MultiGet. The conflict rules below flush one
-  // side before the other touches the same key, which keeps the invariant
-  // wkeys ∩ rkeys = ∅ — so the final flush order cannot change any result.
-  WriteBatch wb;
-  std::vector<uint32_t> wids;
-  std::unordered_set<std::string> wkeys;
-  std::vector<std::string> gkeys;
-  std::vector<uint32_t> gids;
-  std::unordered_set<std::string> rkeys;
-
-  auto flush_writes = [&]() {
-    if (wids.empty()) {
-      return;
+    if (n == -2) {
+      return false;  // peer is gone
     }
-    const Status s = store->Write(wb);
-    for (uint32_t id : wids) {
-      if (s.ok()) {
-        AppendOkResponse(&out, id);
+    net.writev_calls.fetch_add(1, std::memory_order_relaxed);
+    net.bytes_out.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    UpdateMax(net.frames_per_writev_max, batch_frames);
+    size_t written = static_cast<size_t>(n);
+    c.outq_bytes -= written;
+    while (written > 0) {
+      OutChunk& front = c.outq.front();
+      const size_t avail = front.data.size() - c.head_off;
+      if (written >= avail) {
+        written -= avail;
+        c.head_off = 0;
+        c.outq.pop_front();
       } else {
-        AppendErrorResponse(&out, id, s.ToString());
+        c.head_off += written;
+        written = 0;
       }
-    }
-    out_frames += wids.size();
-    wb.Clear();
-    wids.clear();
-    wkeys.clear();
-  };
-  auto flush_reads = [&]() {
-    if (gids.empty()) {
-      return;
-    }
-    std::vector<std::string> values;
-    std::vector<Status> statuses;
-    // Per-key statuses carry the outcome; the aggregate return repeats the
-    // first non-NotFound error. status intentionally ignored: per-key below.
-    (void)store->MultiGet(gkeys, &values, &statuses);
-    for (size_t i = 0; i < gids.size(); ++i) {
-      if (statuses[i].ok()) {
-        AppendValueResponse(&out, gids[i], values[i]);
-      } else if (statuses[i].IsNotFound()) {
-        AppendNotFoundResponse(&out, gids[i]);
-      } else {
-        AppendErrorResponse(&out, gids[i], statuses[i].ToString());
-      }
-    }
-    out_frames += gids.size();
-    gkeys.clear();
-    gids.clear();
-    rkeys.clear();
-  };
-
-  for (WorkItem& item : task.items) {
-    switch (item.type) {
-      case MsgType::kPut:
-      case MsgType::kMerge:
-      case MsgType::kDelete:
-        if (rkeys.count(item.key) != 0) {
-          flush_reads();  // the pending read must see the pre-write value
-        }
-        if (item.type == MsgType::kPut) {
-          wb.Put(item.key, item.value);
-        } else if (item.type == MsgType::kMerge) {
-          wb.Merge(item.key, item.value);
-        } else {
-          wb.Delete(item.key);
-        }
-        wkeys.insert(std::move(item.key));
-        wids.push_back(item.id);
-        break;
-      case MsgType::kGet:
-        if (wkeys.count(item.key) != 0) {
-          flush_writes();  // read-your-writes: the GET must see the pending write
-        }
-        rkeys.insert(item.key);
-        gkeys.push_back(std::move(item.key));
-        gids.push_back(item.id);
-        break;
-      case MsgType::kMultiGet: {
-        for (const std::string& k : item.keys) {
-          if (wkeys.count(k) != 0) {
-            flush_writes();
-            break;
-          }
-        }
-        std::vector<std::string> values;
-        std::vector<Status> statuses;
-        // status intentionally ignored: per-key statuses are authoritative.
-        (void)store->MultiGet(item.keys, &values, &statuses);
-        bool done = false;
-        std::string join_out;
-        {
-          MutexLock lock(&item.mjoin->mu);
-          for (size_t i = 0; i < item.positions.size(); ++i) {
-            item.mjoin->statuses[item.positions[i]] = statuses[i];
-            item.mjoin->values[item.positions[i]] = std::move(values[i]);
-          }
-          done = (--item.mjoin->remaining == 0);
-          if (done) {
-            AppendMultiResponse(&join_out, item.mjoin->id, item.mjoin->statuses,
-                                item.mjoin->values);
-          }
-        }
-        if (done) {
-          item.mjoin->conn->Send(join_out, 1, nullptr, /*may_block=*/true,
-                                 options.conn_outq_limit, &net);
-        }
-        break;
-      }
-      case MsgType::kWriteBatch: {
-        bool flushed_w = false;
-        for (size_t i = 0; i < item.batch.size(); ++i) {
-          const std::string& k = item.batch.entry(i).key;
-          if (!flushed_w && wkeys.count(k) != 0) {
-            flush_writes();  // earlier pending writes apply first
-            flushed_w = true;
-          }
-          if (rkeys.count(k) != 0) {
-            flush_reads();  // earlier pending reads see the pre-batch value
-          }
-        }
-        const Status s = store->Write(item.batch);
-        bool done = false;
-        std::string join_out;
-        {
-          MutexLock lock(&item.bjoin->mu);
-          if (!s.ok() && item.bjoin->error.ok()) {
-            item.bjoin->error = s;
-          }
-          done = (--item.bjoin->remaining == 0);
-          if (done) {
-            if (item.bjoin->error.ok()) {
-              AppendOkResponse(&join_out, item.bjoin->id);
-            } else {
-              AppendErrorResponse(&join_out, item.bjoin->id, item.bjoin->error.ToString());
-            }
-          }
-        }
-        if (done) {
-          item.bjoin->conn->Send(join_out, 1, nullptr, /*may_block=*/true,
-                                 options.conn_outq_limit, &net);
-        }
-        break;
-      }
-      default:
-        AppendErrorResponse(&out, item.id, "unroutable request type");
-        ++out_frames;
-        break;
     }
   }
-  flush_writes();
-  flush_reads();
-  task.conn->Send(out, out_frames, nullptr, /*may_block=*/true,
-                  options.conn_outq_limit, &net);
+  Arm(t, c);
+  return true;
+}
+
+// Pausing reads is the server's one backpressure stage: a client that does
+// not read its responses stops being read, its requests back up in TCP, and
+// the reactor keeps serving its other connections.
+void Server::Impl::Arm(IoThread& t, Conn& c) {
+  const bool pause = c.outq_bytes > options.conn_outq_limit;
+  const uint32_t want = (pause ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+                        (c.outq.empty() ? 0u : static_cast<uint32_t>(EPOLLOUT));
+  if (want == c.interest) {
+    return;
+  }
+  if (pause && (c.interest & EPOLLIN) != 0) {
+    c.paused_at = Clock::now();
+  } else if (!pause && (c.interest & EPOLLIN) == 0) {
+    AddPausedTime(c);
+  }
+  epoll_event ev{};
+  ev.events = want;
+  ev.data.fd = c.fd;
+  ::epoll_ctl(t.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
+  c.interest = want;
+}
+
+void Server::Impl::AddPausedTime(const Conn& c) {
+  net.outq_stall_micros.fetch_add(
+      static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - c.paused_at)
+              .count()),
+      std::memory_order_relaxed);
 }
 
 NetStats Server::Impl::SnapshotNet() const {
@@ -952,23 +713,17 @@ std::string Server::Impl::StatsText() const {
 }
 
 StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
-  auto shards = ShardSet::Open(options.store, options.shards);
-  if (!shards.ok()) {
-    return shards.status();
-  }
-  StatusOr<int> listen = net::TcpListen(options.port);
-  if (!listen.ok()) {
-    // status intentionally ignored: the open itself already failed.
-    (void)(*shards)->Close();
-    return listen.status();
-  }
+  // Sockets first, shards last: nothing before the shards open needs undoing
+  // beyond what Impl and IoThread close themselves.
   auto impl = std::make_unique<Server::Impl>();
   impl->options = options;
+  StatusOr<int> listen = net::TcpListen(options.port);
+  if (!listen.ok()) {
+    return listen.status();
+  }
   impl->listen_fd = *listen;
   const StatusOr<uint16_t> port = net::TcpLocalPort(impl->listen_fd);
   if (!port.ok()) {
-    // status intentionally ignored: the open itself already failed.
-    (void)(*shards)->Close();
     return port.status();
   }
   GADGET_RETURN_IF_ERROR(net::SetNonBlocking(impl->listen_fd));
@@ -983,26 +738,9 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
     auto t = std::make_unique<IoThread>();
     t->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     t->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (t->epoll_fd < 0 || t->wake_fd < 0) {
-      // status intentionally ignored: the open itself already failed.
-      (void)(*shards)->Close();
+    if (t->epoll_fd < 0 || t->wake_fd < 0 || !Watch(t->epoll_fd, t->wake_fd) ||
+        (i == 0 && !Watch(t->epoll_fd, impl->listen_fd))) {
       return Status::IoError("epoll/eventfd setup failed");
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = t->wake_fd;
-    if (::epoll_ctl(t->epoll_fd, EPOLL_CTL_ADD, t->wake_fd, &ev) < 0) {
-      // status intentionally ignored: the open itself already failed.
-      (void)(*shards)->Close();
-      return Status::IoError("epoll_ctl(wake)");
-    }
-    if (i == 0) {
-      ev.data.fd = impl->listen_fd;
-      if (::epoll_ctl(t->epoll_fd, EPOLL_CTL_ADD, impl->listen_fd, &ev) < 0) {
-        // status intentionally ignored: the open itself already failed.
-        (void)(*shards)->Close();
-        return Status::IoError("epoll_ctl(listen)");
-      }
     }
     if (options.use_io_uring) {
       auto ring = std::make_unique<net::UringSocket>();
@@ -1014,23 +752,19 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
     impl->io.push_back(std::move(t));
   }
 
+  auto shards = ShardSet::Open(options.store, options.shards);
+  if (!shards.ok()) {
+    return shards.status();
+  }
   std::unique_ptr<Server> server(new Server());
   server->shards_ = std::move(*shards);
   server->port_ = *port;
   impl->shards = server->shards_.get();
-  impl->queues.reserve(static_cast<size_t>(options.shards));
-  for (int i = 0; i < options.shards; ++i) {
-    impl->queues.push_back(std::make_unique<ShardQueue>());
-  }
   server->impl_ = std::move(impl);
   Server::Impl* raw = server->impl_.get();
   server->io_threads_.reserve(static_cast<size_t>(nio));
   for (int i = 0; i < nio; ++i) {
     server->io_threads_.emplace_back([raw, i] { raw->IoLoop(static_cast<size_t>(i)); });
-  }
-  server->workers_.reserve(static_cast<size_t>(options.shards));
-  for (int i = 0; i < options.shards; ++i) {
-    server->workers_.emplace_back([raw, i] { raw->WorkerLoop(i); });
   }
   bool uring_live = false;
   for (const auto& t : raw->io) {
@@ -1053,15 +787,6 @@ void Server::Stop() {
   }
   stopped_ = true;
   impl_->stopping.store(true, std::memory_order_relaxed);
-  // Unwedge reactors first: one blocked in Dispatch (backpressure) cannot see
-  // `stopping` until its queue wait ends, so release the queues before the
-  // joins. Workers still drain everything already queued before exiting.
-  for (auto& q : impl_->queues) {
-    MutexLock lock(&q->mu);
-    q->stop = true;
-    q->not_empty.SignalAll();
-    q->not_full.SignalAll();
-  }
   for (auto& t : impl_->io) {
     const uint64_t one = 1;
     const ssize_t ignored = ::write(t->wake_fd, &one, sizeof(one));
@@ -1069,9 +794,6 @@ void Server::Stop() {
   }
   for (std::thread& th : io_threads_) {
     th.join();
-  }
-  for (std::thread& w : workers_) {
-    w.join();
   }
   const Status close_status = shards_->Close();
   if (!close_status.ok()) {

@@ -1,42 +1,40 @@
-// The store service (DESIGN.md §6): N IO (reactor) threads feeding per-shard
-// worker threads over bounded queues.
+// The store service (DESIGN.md §6): N reactor threads that run every request
+// to completion themselves; the server starts no other thread.
 //
 // Threading model:
-//   * `io_threads` REACTOR threads, each owning a private epoll set plus the
-//     receive buffers of the connections assigned to it. Accepted connections
-//     are sharded round-robin across reactors (thread 0 also owns the listen
-//     socket). Each reactor decodes frames, answers PING/STATS inline, and
-//     groups a pipelined read-burst into at most one task per shard before
-//     dispatching. With `use_io_uring`, a reactor drains all of a wake's
+//   * `io_threads` REACTOR threads, each owning a private epoll set and the
+//     connections assigned to it. Accepted connections are sharded
+//     round-robin across reactors (thread 0 also owns the listen socket) and
+//     never migrate. With `use_io_uring`, a reactor drains all of a wake's
 //     readable sockets through one io_uring submission wave instead of one
 //     recv() per socket (silent epoll fallback when the kernel lacks it).
-//   * ONE worker thread per shard drains that shard's task queue. A task is
-//     a burst of requests from one connection; the worker coalesces it into
-//     stripe-friendly WriteBatch / MultiGet calls (same read-your-writes
-//     conflict rules as the evaluator's ReplayBatched) so a deep client
-//     pipeline becomes one store crossing per shard per burst.
-//   * Responses never block the reactors: each connection has a bounded
-//     OUTPUT QUEUE of response bursts, drained by non-blocking writev with
-//     EPOLLOUT re-arming on partial progress. Pipelined bursts queued behind
-//     a slow socket coalesce into a single writev (iovec gather list), and
-//     the per-connection mutex keeps frames whole and in enqueue order even
-//     though bursts from different shards may interleave — which is why the
-//     protocol matches by id, not order.
+//   * A reactor decodes every complete frame a wake brought in on one
+//     connection and runs that burst to completion: it groups the burst's ops
+//     per shard into WriteBatch / MultiGet calls (same read-your-writes
+//     conflict rules as the evaluator's ReplayBatched) and calls each shard's
+//     KVStore directly. Any reactor may call any shard, because every engine
+//     is internally synchronized; there is no shard ownership and no
+//     forwarding between reactors.
+//   * A store call that stalls (a sync, a compaction stall) blocks the
+//     reactor that made it, and with it that reactor's other connections.
+//     Other reactors keep running. With sync_writes, one reactor's syncs run
+//     back to back, so synced writes overlap only across reactors.
+//   * The burst's responses, in decode order, join the connection's OUTPUT
+//     QUEUE once, so one writev carries them all; bursts queued behind a slow
+//     socket coalesce into one gather list, and EPOLLOUT finishes what a
+//     writev could not.
 //
-// Backpressure (two stages, no drops):
-//   1. A slow READER fills its connection's output queue; workers sending to
-//      it block (accounted as output_queue_stall_micros) until the drain
-//      makes room — that parks the shard, so
-//   2. the shard's bounded task queue fills and the reactor BLOCKS in
-//      dispatch — it stops reading, socket buffers fill, and TCP flow
-//      control pushes the stall back into the clients. The service degrades
-//      to the slowest consumer's pace.
+// Backpressure (one stage, no drops): a connection whose output queue holds
+// more than `conn_outq_limit` bytes loses EPOLLIN until the queue drains
+// below the limit (accounted as output_queue_stall_micros). Its requests back
+// up in TCP, which pushes the stall back to that client alone.
 //
-// Fan-out: a MULTI_GET or WRITE_BATCH whose keys span shards is split into
-// per-shard sub-requests joined by a completion count; the last shard to
-// finish sends the one response. Cross-shard WRITE_BATCH is NOT atomic
-// across shards (each shard applies its slice in its own epoch) — same
-// contract a client gets by splitting the batch itself.
+// Ordering: frames of one connection run in decode order per key, and their
+// responses come back in decode order. A MULTI_GET or WRITE_BATCH whose keys
+// span shards is split per shard and joined before its one response is
+// queued. Cross-shard WRITE_BATCH is NOT atomic across shards (each shard
+// applies its slice in its own epoch) — same contract a client gets by
+// splitting the batch itself.
 #ifndef GADGET_SERVER_SERVER_H_
 #define GADGET_SERVER_SERVER_H_
 
@@ -64,21 +62,13 @@ struct ServerOptions {
   // kernel supports it (raw syscalls, probed at startup). A request, not a
   // requirement: unsupported kernels fall back to plain epoll silently.
   bool use_io_uring = false;
-  // Max queued tasks per shard before dispatch blocks (the backpressure
-  // knob; a task is one connection's burst for one shard).
-  size_t shard_queue_limit = 128;
-  // Max bytes of queued responses per connection before workers sending to
-  // that connection block (the slow-reader backpressure knob). Reactor-
-  // inline responses (PONG/STATS) may overshoot briefly — reactors never
-  // block on a send.
+  // Max bytes of queued responses per connection before the reactor stops
+  // reading it (the backpressure knob). A burst's responses are queued whole,
+  // so the queue may overshoot by one burst.
   size_t conn_outq_limit = 4 << 20;
   // Test hook: shrink each accepted socket's kernel send buffer so a stalled
   // reader makes writev hit EAGAIN with small payloads. 0 = kernel default.
   int so_sndbuf = 0;
-  // Test hook: delay every task on this shard by test_delay_ms before
-  // execution, making out-of-order completion deterministic in tests.
-  int test_delay_shard = -1;
-  int test_delay_ms = 0;
 };
 
 // Snapshot of the network layer's counters; surfaced in STATS responses (the
@@ -90,6 +80,7 @@ struct NetStats {
   // Most response frames ever submitted in one writev gather list — >1 means
   // pipelined bursts actually coalesced.
   uint64_t frames_per_writev_max = 0;
+  // Time connections spent with reads paused behind a full output queue.
   uint64_t output_queue_stall_micros = 0;
   uint64_t output_queue_bytes_max = 0;
   uint64_t conns_accepted = 0;
@@ -101,7 +92,7 @@ struct NetStats {
 
 class Server {
  public:
-  // Opens the shards, binds the port, and starts the IO + worker threads.
+  // Binds the port, opens the shards, and starts the reactor threads.
   static StatusOr<std::unique_ptr<Server>> Start(const ServerOptions& options);
 
   ~Server();  // implies Stop()
@@ -116,8 +107,8 @@ class Server {
   // Point-in-time snapshot of the net-layer counters.
   NetStats net_stats() const;
 
-  // Stops accepting, drains in-flight tasks, joins all threads, and closes
-  // every shard. Idempotent.
+  // Stops the reactors (each finishes the burst it is running), closes every
+  // connection and every shard. Idempotent.
   void Stop();
 
  private:
@@ -128,7 +119,6 @@ class Server {
   std::unique_ptr<ShardSet> shards_;
   std::unique_ptr<Impl> impl_;
   std::vector<std::thread> io_threads_;
-  std::vector<std::thread> workers_;
   bool stopped_ = false;
 };
 

@@ -83,7 +83,6 @@ Status ServeMain(const Config& config, std::ostream& out) {
   opts.shards = static_cast<int>(config.GetUint("shards", 4));
   opts.io_threads = static_cast<int>(config.GetUint("io_threads", 0));
   opts.use_io_uring = config.GetUint("use_io_uring", 0) != 0;
-  opts.shard_queue_limit = config.GetUint("shard_queue_limit", 128);
   opts.conn_outq_limit = config.GetUint("conn_outq_limit", opts.conn_outq_limit);
 
   std::string dir = config.GetString("store_dir");

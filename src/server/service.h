@@ -7,7 +7,10 @@
 // serve:
 //   port              listen port, 0 = kernel-assigned            (0)
 //   shards            engine shards behind the router             (4)
-//   shard_queue_limit backpressure bound, tasks per shard         (128)
+//   io_threads        reactor threads, 0 = min(4, hw threads)     (0)
+//   use_io_uring      socket I/O through io_uring when available  (0)
+//   conn_outq_limit   queued response bytes per connection before
+//                     its reads pause                             (4194304)
 //   port_file         write the bound port here once listening
 //                     (how CI finds a kernel-assigned port)
 //   store / store_dir / buffer_pool_* / sync_writes ...           (harness keys)

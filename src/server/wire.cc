@@ -312,9 +312,16 @@ void AppendMultiResponse(std::string* out, uint32_t id, const std::vector<Status
   std::string payload;
   PutVarint32(&payload, static_cast<uint32_t>(statuses.size()));
   for (size_t i = 0; i < statuses.size(); ++i) {
-    payload.push_back(statuses[i].ok() ? 0 : 1);
-    PutLengthPrefixed(&payload, statuses[i].ok() ? std::string_view(values[i])
-                                                 : std::string_view());
+    if (statuses[i].ok()) {
+      payload.push_back(kMultiFound);
+      PutLengthPrefixed(&payload, values[i]);
+    } else if (statuses[i].IsNotFound()) {
+      payload.push_back(kMultiNotFound);
+      PutLengthPrefixed(&payload, std::string_view());
+    } else {
+      payload.push_back(kMultiError);
+      PutLengthPrefixed(&payload, statuses[i].ToString());
+    }
   }
   AppendHeaderAndPayload(out, MsgType::kMulti, id, payload);
 }
@@ -386,7 +393,7 @@ Status ParseResponse(const FrameView& frame, Response* out) {
           return Truncated("multi status");
         }
         const uint8_t st = static_cast<uint8_t>(*p++);
-        if (st > 1) {
+        if (st > kMultiError) {
           return Status::InvalidArgument("unknown multi status " + std::to_string(st));
         }
         p = GetBounded(p, limit, kMaxValueBytes, &field, "multi value", &status);

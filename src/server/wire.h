@@ -8,9 +8,9 @@
 // occupies 4 + len bytes on the wire and a decoder can resynchronize only by
 // closing the connection — there is no resync marker, which is why a
 // malformed frame is a connection-fatal error, never a skip. `id` is a
-// client-assigned correlation tag: requests may be pipelined and responses
-// may complete out of request order (per-shard batches finish independently),
-// so clients match responses to requests by id, never by arrival order.
+// client-assigned correlation tag: requests may be pipelined, and clients
+// match responses to requests by id. (The server answers one connection's
+// frames in the order it decoded them, but the id is the contract.)
 //
 // Request payloads map 1:1 onto the KVStore API so a pipelined burst can ride
 // the batched Write/MultiGet path unchanged:
@@ -25,9 +25,10 @@
 //   PING        (empty)                                 -> PONG
 //
 // (`lp` = varint32 length prefix + bytes, src/common/coding.h.) MULTI's
-// payload is [varint n]{[u8 status][lp value]}*n with status 0 = found and
-// 1 = not-found (value empty). ERROR carries a human-readable message and is
-// a per-request failure unless id == 0, which the server uses for
+// payload is [varint n]{[u8 status][lp value]}*n with status 0 = found,
+// 1 = not-found (value empty) and 2 = that key's read failed (value carries
+// the error message). ERROR carries a human-readable message and is a
+// per-request failure unless id == 0, which the server uses for
 // connection-fatal protocol errors just before closing.
 //
 // All framing limits are validated on decode: a frame longer than
@@ -130,13 +131,19 @@ Status ParseRequest(const FrameView& frame, Request* out);
 
 // --- responses --------------------------------------------------------------
 
+// Per-key status bytes of a MULTI response.
+inline constexpr uint8_t kMultiFound = 0;
+inline constexpr uint8_t kMultiNotFound = 1;
+inline constexpr uint8_t kMultiError = 2;  // the value field holds the message
+
 struct Response {
   MsgType type = MsgType::kOk;
   uint32_t id = 0;
   std::string value;                  // kValue payload / kError message /
                                       // kStatsText JSON
-  std::vector<uint8_t> statuses;      // kMulti: 0 = found, 1 = not-found
-  std::vector<std::string> values;    // kMulti: per-key values ("" when miss)
+  std::vector<uint8_t> statuses;      // kMulti: kMultiFound / NotFound / Error
+  std::vector<std::string> values;    // kMulti: per-key values ("" when miss,
+                                      // the message on error)
 };
 
 void AppendOkResponse(std::string* out, uint32_t id);

@@ -1,12 +1,14 @@
 // Tests for the multi-reactor network path (src/server/server.cc): connection
-// sharding across IO threads, pipelined-response writev coalescing, the
-// bounded per-connection output queue under a deliberately stalled reader
-// (frames stay whole and in order, backpressure reaches the workers), the
-// io_uring backend when the kernel offers it (silent epoll fallback
-// otherwise), and the boot-race connect retry. These are the TSan-lane
-// subjects: everything here runs multiple reactors, workers, and client
-// threads against the same counters and queues.
+// sharding across IO threads, every engine called by several reactors at
+// once, pipelined-response writev coalescing, the bounded per-connection
+// output queue under a deliberately stalled reader (frames stay whole and in
+// order, its reads pause, other connections keep being served), the io_uring
+// backend when the kernel offers it (silent epoll fallback otherwise), and
+// the boot-race connect retry. These are the TSan-lane subjects: everything
+// here runs multiple reactors and client threads against the same stores,
+// counters and queues.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <memory>
@@ -34,8 +36,8 @@ namespace {
 void SleepMs(int ms) { std::this_thread::sleep_for(std::chrono::milliseconds(ms)); }
 
 // Net counters are bumped AFTER the write syscall returns, so a client can
-// read its response a beat before the sender thread (descheduled mid-drain)
-// runs the increments. Polls until `settled` holds or ~1s passes; either way
+// read its response a beat before the reactor (descheduled mid-drain) runs
+// the increments. Polls until `settled` holds or ~1s passes; either way
 // the caller's assertions run against the returned snapshot.
 template <typename Pred>
 NetStats WaitForNet(Server* server, Pred settled) {
@@ -106,9 +108,12 @@ TEST(ServerNetTest, ConnectionsShardAcrossReactors) {
 }
 
 // A loadgen replay against a 4-reactor server converges to exactly the oracle
-// state: sharding connections across IO threads must not lose, duplicate, or
-// cross-wire a single operation.
-TEST(ServerNetTest, MultiReactorReplayMatchesOracle) {
+// state, on every engine: sharding connections across IO threads must not
+// lose, duplicate, or cross-wire a single operation, and each shard's store
+// must hold up while up to four reactors call it at once.
+class ServerNetEngineTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServerNetEngineTest, MultiReactorReplayMatchesOracle) {
   Config config;
   config.Set("source", "borg");
   config.Set("events", "3000");
@@ -116,10 +121,12 @@ TEST(ServerNetTest, MultiReactorReplayMatchesOracle) {
   auto trace = BuildAccessTrace(config);
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
 
+  ScopedTempDir tmp("gadget-server-net-test");
   ServerOptions sopts;
   sopts.shards = 2;
   sopts.io_threads = 4;
-  sopts.store.engine = "mem";
+  sopts.store.engine = GetParam();
+  sopts.store.dir = tmp.path() + "/db";
   auto server = Server::Start(sopts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -178,6 +185,77 @@ TEST(ServerNetTest, MultiReactorReplayMatchesOracle) {
   (*server)->Stop();
 }
 
+INSTANTIATE_TEST_SUITE_P(Engines, ServerNetEngineTest,
+                         ::testing::Values("mem", "lsm", "btree", "faster"),
+                         [](const auto& spec) { return std::string(spec.param); });
+
+// ------------------------------------------------- run to completion
+
+// One pipelined burst that spans four shards: PUTs, a MULTI_GET and a
+// WRITE_BATCH of deletes whose keys cross every shard, a GET of a deleted
+// key, and STATS. The reactor runs it in decode order: the MULTI_GET sees
+// every PUT, the GET sees the delete, STATS counts everything before it, and
+// the responses come back in request order.
+TEST(ServerNetTest, BurstRunsInDecodeOrderAcrossShards) {
+  ServerOptions opts;
+  opts.shards = 4;
+  opts.io_threads = 1;
+  opts.store.engine = "mem";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto fd = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::FramedConn conn(*fd);
+
+  constexpr int kKeys = 64;
+  std::vector<std::string> keys;
+  std::string out;
+  uint32_t id = 0;
+  WriteBatch deletes;
+  for (int i = 0; i < kKeys; ++i) {
+    keys.push_back("order-" + std::to_string(i));
+    AppendPutRequest(&out, ++id, keys.back(), "v" + std::to_string(i));
+    if (i % 2 == 0) {
+      deletes.Delete(keys.back());
+    }
+  }
+  AppendMultiGetRequest(&out, ++id, keys);
+  AppendWriteBatchRequest(&out, ++id, deletes);
+  AppendGetRequest(&out, ++id, keys[0]);
+  AppendStatsRequest(&out, ++id);
+  ASSERT_TRUE(conn.Send(out).ok());
+
+  for (uint32_t want = 1; want <= id; ++want) {
+    Response rsp;
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok()) << "response " << want;
+    ASSERT_EQ(rsp.id, want) << "responses left decode order";
+    if (want <= kKeys) {
+      EXPECT_EQ(rsp.type, MsgType::kOk);
+    } else if (want == kKeys + 1) {
+      ASSERT_EQ(rsp.type, MsgType::kMulti);
+      ASSERT_EQ(rsp.statuses.size(), static_cast<size_t>(kKeys));
+      for (int i = 0; i < kKeys; ++i) {
+        EXPECT_EQ(rsp.statuses[i], kMultiFound) << keys[i];
+        EXPECT_EQ(rsp.values[i], "v" + std::to_string(i));
+      }
+    } else if (want == kKeys + 2) {
+      EXPECT_EQ(rsp.type, MsgType::kOk);
+    } else if (want == kKeys + 3) {
+      EXPECT_EQ(rsp.type, MsgType::kNotFound) << "GET ran before the earlier delete";
+    } else {
+      ASSERT_EQ(rsp.type, MsgType::kStatsText);
+      auto doc = ParseJson(rsp.value);
+      ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+      const JsonValue* merged = doc->Get("merged");
+      ASSERT_NE(merged, nullptr);
+      EXPECT_EQ(merged->GetUint("puts"), static_cast<uint64_t>(kKeys));
+      EXPECT_EQ(merged->GetUint("deletes"), static_cast<uint64_t>(kKeys / 2));
+      EXPECT_EQ(merged->GetUint("gets"), static_cast<uint64_t>(kKeys + 1));
+    }
+  }
+  (*server)->Stop();
+}
+
 // --------------------------------------------------- writev coalescing
 
 // A deep pipelined burst decoded as one task produces one response burst, so
@@ -222,83 +300,156 @@ TEST(ServerNetTest, PipelinedResponsesCoalesceIntoOneWritev) {
 
 // ------------------------------------------------------- slow reader
 
-// The slow-reader gauntlet: a tiny server-side send buffer, a small output
-// queue cap, and a client that pipelines 2 MiB of GET responses without
-// reading, then stalls. The workers must block on the output queue (stall
-// time accounted), the queue must absorb bursts without growing unboundedly,
-// and once the client drains, every response must arrive whole, exactly
-// once, and in request order (one connection, one shard, GET-only => FIFO).
-TEST(ServerNetTest, SlowReaderBackpressureKeepsFramesWholeAndOrdered) {
-  constexpr size_t kValueBytes = 8 << 10;
-  constexpr int kKeys = 16;
-  constexpr int kRounds = 16;
+constexpr size_t kSlowValueBytes = 8 << 10;
+constexpr int kSlowKeys = 16;
 
+// A server whose output queues jam fast: a tiny server-side send buffer and
+// an output-queue cap far below one 16-GET burst of responses.
+ServerOptions SlowReaderOptions() {
   ServerOptions opts;
   opts.shards = 1;
   opts.io_threads = 1;
   opts.store.engine = "mem";
-  opts.so_sndbuf = 4096;          // jam the socket with small payloads
-  opts.conn_outq_limit = 16 << 10;  // cap far below one round's responses
-  opts.shard_queue_limit = 4;       // so dispatch backpressure engages too
+  opts.so_sndbuf = 4096;            // jam the socket with small payloads
+  opts.conn_outq_limit = 16 << 10;  // cap far below one burst's responses
+  return opts;
+}
+
+// Seeds kSlowKeys values of kSlowValueBytes each through a well-behaved
+// client.
+void SeedSlowValues(uint16_t port, std::vector<std::string>* values) {
+  auto seeder = Client::Connect(port, 1);
+  ASSERT_TRUE(seeder.ok()) << seeder.status().ToString();
+  values->assign(kSlowKeys, std::string());
+  for (int i = 0; i < kSlowKeys; ++i) {
+    (*values)[i] = std::string(kSlowValueBytes, static_cast<char>('a' + i));
+    ASSERT_TRUE((*seeder)->Put("slow-" + std::to_string(i), (*values)[i]).ok());
+  }
+}
+
+// Sends one burst of GETs for every seeded key, ids from *next_id on.
+void SendSlowBurst(net::FramedConn* conn, uint32_t* next_id) {
+  std::string burst;
+  for (int i = 0; i < kSlowKeys; ++i) {
+    AppendGetRequest(&burst, (*next_id)++, "slow-" + std::to_string(i));
+  }
+  ASSERT_TRUE(conn->Send(burst).ok());
+}
+
+// Reads responses 1..total and requires them strictly in request order with
+// the exact seeded payloads — no torn, dropped, duplicated or reordered frame.
+void ExpectSlowResponses(net::FramedConn* conn, uint32_t total,
+                         const std::vector<std::string>& values) {
+  for (uint32_t want = 1; want <= total; ++want) {
+    Response rsp;
+    ASSERT_TRUE(conn->RecvResponse(&rsp).ok()) << "response " << want;
+    ASSERT_EQ(rsp.type, MsgType::kValue) << "response " << want;
+    ASSERT_EQ(rsp.id, want) << "responses reordered on one connection";
+    EXPECT_EQ(rsp.value, values[(want - 1) % kSlowKeys]) << "torn or cross-wired value";
+  }
+}
+
+// The slow-reader gauntlet: a client pipelines 2 MiB of GET responses
+// without reading, then stalls. Its connection's reads must pause (time
+// accounted as output_queue_stall_micros), the queue must absorb bursts
+// without growing unboundedly, and once the client drains, every response
+// must arrive whole, exactly once, and in request order.
+TEST(ServerNetTest, SlowReaderBackpressureKeepsFramesWholeAndOrdered) {
+  constexpr int kRounds = 16;
+  const ServerOptions opts = SlowReaderOptions();
   auto server = Server::Start(opts);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  // Seed kKeys values of kValueBytes each through a well-behaved client.
-  auto seeder = Client::Connect((*server)->port(), 1);
-  ASSERT_TRUE(seeder.ok()) << seeder.status().ToString();
-  std::vector<std::string> values(kKeys);
-  for (int i = 0; i < kKeys; ++i) {
-    values[i] = std::string(kValueBytes, static_cast<char>('a' + i));
-    ASSERT_TRUE((*seeder)->Put("slow-" + std::to_string(i), values[i]).ok());
-  }
+  std::vector<std::string> values;
+  ASSERT_NO_FATAL_FAILURE(SeedSlowValues((*server)->port(), &values));
 
   auto fd = net::TcpConnect((*server)->port());
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
   net::FramedConn conn(*fd);
 
   // Pipeline kRounds bursts of GETs, spaced out so the reactor decodes them
-  // as separate tasks, while never reading a byte of response.
+  // as separate bursts, while never reading a byte of response.
   uint32_t next_id = 1;
   for (int round = 0; round < kRounds; ++round) {
-    std::string burst;
-    for (int i = 0; i < kKeys; ++i) {
-      AppendGetRequest(&burst, next_id++, "slow-" + std::to_string(i));
-    }
-    ASSERT_TRUE(conn.Send(burst).ok());
+    ASSERT_NO_FATAL_FAILURE(SendSlowBurst(&conn, &next_id));
     SleepMs(15);
   }
   // Stall: responses pile into the kernel buffers, then the output queue,
-  // then the workers block.
+  // then the connection's reads pause and the requests wait in TCP.
   SleepMs(300);
 
-  // Drain everything. Ids must come back strictly in request order with the
-  // exact seeded payloads — no torn, dropped, duplicated, or reordered frame.
-  const uint32_t total = static_cast<uint32_t>(kRounds * kKeys);
-  for (uint32_t want = 1; want <= total; ++want) {
-    Response rsp;
-    ASSERT_TRUE(conn.RecvResponse(&rsp).ok()) << "response " << want;
-    ASSERT_EQ(rsp.type, MsgType::kValue) << "response " << want;
-    ASSERT_EQ(rsp.id, want) << "responses reordered on one connection";
-    EXPECT_EQ(rsp.value, values[(want - 1) % kKeys]) << "torn or cross-wired value";
-  }
+  const uint32_t total = static_cast<uint32_t>(kRounds * kSlowKeys);
+  ASSERT_NO_FATAL_FAILURE(ExpectSlowResponses(&conn, total, values));
 
   const NetStats ns = WaitForNet(server->get(), [](const NetStats& s) {
-    return s.bytes_out >= static_cast<uint64_t>(kRounds * kKeys) * kValueBytes &&
+    return s.bytes_out >= static_cast<uint64_t>(kRounds * kSlowKeys) * kSlowValueBytes &&
            s.output_queue_stall_micros > 0;
   });
   EXPECT_GT(ns.output_queue_stall_micros, 0u)
-      << "workers never blocked on the stalled reader";
-  // Bursts larger than the cap are admitted whole (but only into an empty
-  // queue), so the high-water mark is at least one burst and well below the
-  // total pushed through.
+      << "reads never paused on the stalled reader";
+  // A burst's responses are queued whole, and reads pause only once the
+  // queue is over the cap, so the high-water mark is at least one burst and
+  // well below the total pushed through.
   EXPECT_GE(ns.output_queue_bytes_max, opts.conn_outq_limit);
-  EXPECT_LT(ns.output_queue_bytes_max, static_cast<uint64_t>(total) * kValueBytes);
-  EXPECT_GE(ns.bytes_out, static_cast<uint64_t>(total) * kValueBytes);
+  EXPECT_LT(ns.output_queue_bytes_max, static_cast<uint64_t>(total) * kSlowValueBytes);
+  EXPECT_GE(ns.bytes_out, static_cast<uint64_t>(total) * kSlowValueBytes);
 
   // The server shook off the stall completely: a fresh client works.
   auto probe = Client::Connect((*server)->port(), 1);
   ASSERT_TRUE(probe.ok());
   EXPECT_TRUE((*probe)->Ping().ok());
+  (*server)->Stop();
+}
+
+// One reactor, one shard: while connection A sits paused behind its full
+// output queue, a GET on connection B is still answered promptly. A stalled
+// reader must hold up only itself, never the reactor or the shard.
+TEST(ServerNetTest, PausedReaderDoesNotDelayOtherConnections) {
+  const ServerOptions opts = SlowReaderOptions();
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  std::vector<std::string> values;
+  ASSERT_NO_FATAL_FAILURE(SeedSlowValues((*server)->port(), &values));
+
+  auto fd_a = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd_a.ok()) << fd_a.status().ToString();
+  net::FramedConn a(*fd_a);
+  uint32_t next_id = 1;
+  constexpr int kRounds = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_NO_FATAL_FAILURE(SendSlowBurst(&a, &next_id));
+    SleepMs(20);
+  }
+  SleepMs(100);  // A's queue is far over the cap by now, and A never reads
+
+  auto fd_b = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd_b.ok()) << fd_b.status().ToString();
+  net::FramedConn b(*fd_b);
+  std::string get;
+  AppendGetRequest(&get, 7, "slow-3");
+  ASSERT_TRUE(b.Send(get).ok());
+  pollfd pfd{};
+  pfd.fd = b.fd();
+  pfd.events = POLLIN;
+  const auto t0 = std::chrono::steady_clock::now();
+  const int ready = ::poll(&pfd, 1, /*timeout_ms=*/1000);
+  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_EQ(ready, 1) << "B's GET waited " << waited.count() << " ms behind paused A";
+
+  // A drains: everything it asked for arrives intact and in order. Then B's
+  // answer is read (late, if the check above failed).
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectSlowResponses(&a, static_cast<uint32_t>(kRounds * kSlowKeys), values));
+  Response rsp;
+  ASSERT_TRUE(b.RecvResponse(&rsp).ok());
+  EXPECT_EQ(rsp.type, MsgType::kValue);
+  EXPECT_EQ(rsp.id, 7u);
+  EXPECT_EQ(rsp.value, values[3]);
+
+  const NetStats ns = WaitForNet(server->get(), [](const NetStats& s) {
+    return s.output_queue_stall_micros > 0;
+  });
+  EXPECT_GT(ns.output_queue_stall_micros, 0u) << "A's reads never paused";
   (*server)->Stop();
 }
 

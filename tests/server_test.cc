@@ -1,8 +1,8 @@
 // Tests for the store service (src/server/): wire framing round-trips and
 // rejects torn/oversized/garbage input cleanly, the consistent-hash router is
 // deterministic and moves little keyspace on growth, shard-set stats merge as
-// a fleet, a live server handles the full request vocabulary plus pipelined
-// out-of-order completion, and — the end-to-end gate — a 4-shard loopback
+// a fleet, a live server handles the full request vocabulary, and — the
+// end-to-end gate — a 4-shard loopback
 // loadgen replay converges to exactly the state an in-process oracle replay
 // produces, with zero lost or duplicated operations.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/coding.h"
@@ -21,6 +22,7 @@
 #include "src/gadget/harness.h"
 #include "src/server/client.h"
 #include "src/server/loadgen.h"
+#include "src/server/net/socket.h"
 #include "src/server/router.h"
 #include "src/server/server.h"
 #include "src/server/wire.h"
@@ -79,7 +81,9 @@ TEST(WireTest, RequestRoundTrip) {
 TEST(WireTest, ResponseRoundTrip) {
   std::string buf;
   AppendValueResponse(&buf, 3, "hello");
-  AppendMultiResponse(&buf, 4, {Status::Ok(), Status::NotFound()}, {"v1", ""});
+  // A per-key read error must survive the trip as an error, never as a miss.
+  AppendMultiResponse(&buf, 4, {Status::Ok(), Status::NotFound(), Status::IoError("disk gone")},
+                      {"v1", "", ""});
   AppendErrorResponse(&buf, 5, "boom");
 
   std::string_view rest = buf;
@@ -97,8 +101,8 @@ TEST(WireTest, ResponseRoundTrip) {
   EXPECT_EQ(resp.value, "hello");
   next(&resp);
   EXPECT_EQ(resp.type, MsgType::kMulti);
-  EXPECT_EQ(resp.statuses, (std::vector<uint8_t>{0, 1}));
-  EXPECT_EQ(resp.values, (std::vector<std::string>{"v1", ""}));
+  EXPECT_EQ(resp.statuses, (std::vector<uint8_t>{kMultiFound, kMultiNotFound, kMultiError}));
+  EXPECT_EQ(resp.values, (std::vector<std::string>{"v1", "", "IoError: disk gone"}));
   next(&resp);
   EXPECT_EQ(resp.type, MsgType::kError);
   EXPECT_EQ(resp.value, "boom");
@@ -207,6 +211,8 @@ TEST(WireTest, MalformedPayloadTable) {
       // Zero-argument requests must carry empty payloads.
       {"ping_with_payload", MsgType::kPing, "x"},
       {"stats_with_payload", MsgType::kStats, "junk"},
+      // A MULTI response's per-key status byte past the last defined one.
+      {"multi_status_3", MsgType::kMulti, vstr(1) + std::string(1, '\x03') + vstr(0)},
   };
   for (const Case& c : kCases) {
     std::string buf;
@@ -221,8 +227,13 @@ TEST(WireTest, MalformedPayloadTable) {
     size_t consumed = 0;
     std::string error;
     ASSERT_EQ(ExtractFrame(buf, &frame, &consumed, &error), FrameStatus::kOk) << c.name;
-    Request req;
-    EXPECT_FALSE(ParseRequest(frame, &req).ok()) << c.name;
+    if (IsResponseType(static_cast<uint8_t>(c.type))) {
+      Response resp;
+      EXPECT_FALSE(ParseResponse(frame, &resp).ok()) << c.name;
+    } else {
+      Request req;
+      EXPECT_FALSE(ParseRequest(frame, &req).ok()) << c.name;
+    }
   }
 }
 
@@ -361,48 +372,110 @@ TEST(ServerTest, FullRequestVocabularyOverLoopback) {
   (*server)->Stop();
 }
 
-TEST(ServerTest, PipelinedResponsesCompleteOutOfOrder) {
-  ServerOptions opts;
-  opts.shards = 2;
-  opts.store.engine = "mem";
-  // Find two keys on different shards, then delay the first key's shard so
-  // the second request — sent later on the same connection — finishes first.
-  ConsistentHashRouter router(2);
-  std::string slow_key;
-  std::string fast_key;
-  for (int i = 0; i < 1000 && (slow_key.empty() || fast_key.empty()); ++i) {
-    const std::string key = "k" + std::to_string(i);
-    (router.Route(key) == 0 ? slow_key : fast_key) = key;
+// A stand-in server for one connection, for read errors no real engine
+// produces on demand: PING, STATS and writes succeed; in a MULTI_GET, key
+// "hit" is found, "miss" is not, and every other key fails with an IoError.
+// Serves until the client hangs up.
+void ServeFailingReads(int listen_fd) {
+  auto fd = net::TcpAccept(listen_fd);
+  if (!fd.ok() || *fd < 0) {
+    return;
   }
-  ASSERT_FALSE(slow_key.empty());
-  ASSERT_FALSE(fast_key.empty());
-  opts.test_delay_shard = 0;
-  opts.test_delay_ms = 100;
-  auto server = Server::Start(opts);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-  auto client = Client::Connect((*server)->port(), 1);
-  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  net::FramedConn conn(*fd);
+  MsgType type;
+  uint32_t id = 0;
+  std::string payload;
+  while (conn.RecvFrame(&type, &id, &payload).ok()) {
+    std::string out;
+    Request req;
+    switch (type) {
+      case MsgType::kPing:
+        AppendPongResponse(&out, id);
+        break;
+      case MsgType::kStats:
+        AppendStatsTextResponse(&out, id, "{}");
+        break;
+      case MsgType::kMultiGet: {
+        ASSERT_TRUE(ParseRequest(FrameView{type, id, payload}, &req).ok());
+        std::vector<Status> statuses;
+        std::vector<std::string> values;
+        for (const std::string& k : req.keys) {
+          statuses.push_back(k == "hit"    ? Status::Ok()
+                             : k == "miss" ? Status::NotFound()
+                                           : Status::IoError("disk gone"));
+          values.push_back(k == "hit" ? "v" : "");
+        }
+        AppendMultiResponse(&out, id, statuses, values);
+        break;
+      }
+      default:
+        AppendOkResponse(&out, id);
+        break;
+    }
+    if (!conn.Send(out).ok()) {
+      return;
+    }
+  }
+}
 
-  Client::Lease lease = (*client)->AcquireLease();
-  const uint32_t slow_id = lease.NextId();
-  const uint32_t fast_id = lease.NextId();
-  std::string burst;
-  AppendPutRequest(&burst, slow_id, slow_key, "slow");
-  AppendPutRequest(&burst, fast_id, fast_key, "fast");
-  ASSERT_TRUE(lease.conn()->Send(burst).ok());
+// A per-key read error inside a MULTI_GET reaches Client::MultiGet as that
+// key's error (and as the aggregate), never as a miss.
+TEST(ClientTest, MultiGetReportsPerKeyReadError) {
+  auto listen = net::TcpListen(0);
+  ASSERT_TRUE(listen.ok()) << listen.status().ToString();
+  auto port = net::TcpLocalPort(*listen);
+  ASSERT_TRUE(port.ok());
+  std::thread fake(ServeFailingReads, *listen);
+  {
+    auto client = Client::Connect(*port, 1);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    const Status s = (*client)->MultiGet({"hit", "miss", "broken"}, &values, &statuses);
+    EXPECT_TRUE(s.IsIoError()) << s.ToString();
+    ASSERT_EQ(statuses.size(), 3u);
+    EXPECT_TRUE(statuses[0].ok());
+    EXPECT_EQ(values[0], "v");
+    EXPECT_TRUE(statuses[1].IsNotFound());
+    EXPECT_TRUE(statuses[2].IsIoError()) << statuses[2].ToString();
+    EXPECT_NE(statuses[2].ToString().find("disk gone"), std::string::npos);
+  }
+  fake.join();
+  net::CloseFd(*listen);
+}
 
-  Response first;
-  Response second;
-  ASSERT_TRUE(lease.conn()->RecvResponse(&first).ok());
-  ASSERT_TRUE(lease.conn()->RecvResponse(&second).ok());
-  // The later-sent request (undelayed shard) must complete first: the
-  // protocol really is pipelined and matched by id, not arrival order.
-  EXPECT_EQ(first.id, fast_id);
-  EXPECT_EQ(second.id, slow_id);
-  EXPECT_EQ(first.type, MsgType::kOk);
-  EXPECT_EQ(second.type, MsgType::kOk);
+// loadgen counts a failed read as an error, not as an acked miss, so
+// `report_check --require_server` cannot pass a run whose reads failed.
+TEST(ClientTest, LoadgenCountsFailedReadsAsErrors) {
+  Config config;
+  config.Set("source", "borg");
+  config.Set("events", "500");
+  config.Set("seed", "5");
+  auto trace = BuildAccessTrace(config);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  uint64_t reads = 0;
+  for (const StateAccess& a : *trace) {
+    reads += a.op == OpType::kGet ? 1 : 0;
+  }
+  ASSERT_GT(reads, 0u);
 
-  (*server)->Stop();
+  auto listen = net::TcpListen(0);
+  ASSERT_TRUE(listen.ok()) << listen.status().ToString();
+  auto port = net::TcpLocalPort(*listen);
+  ASSERT_TRUE(port.ok());
+  std::thread fake(ServeFailingReads, *listen);
+  LoadgenOptions lopts;
+  lopts.port = *port;
+  lopts.clients = 1;
+  lopts.shards = 2;
+  auto result = RunLoadgen(*trace, lopts);
+  fake.join();
+  net::CloseFd(*listen);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->ops_sent, trace->size());
+  EXPECT_EQ(result->errors, reads);
+  EXPECT_EQ(result->ops_acked, trace->size() - reads);
+  EXPECT_EQ(result->replay.not_found, 0u);
 }
 
 // The end-to-end acceptance gate: a multi-client loadgen replay of a Borg
