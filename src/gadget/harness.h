@@ -37,7 +37,8 @@
 //   readahead_blocks extra blocks fetched per cache-missing Get    (0)
 //   store_stripes    MemStore lock-stripe count, 0 = default      (0)
 //   sync_writes      fsync the WAL/log on every commit (group
-//                    commit makes this per-batch with batching)   (false)
+//                    commit makes this per-batch with batching);
+//                    store=btree has no log and refuses it        (false)
 //   batch_size       coalesce up to N consecutive ops into one
 //                    WriteBatch / MultiGet, 1 = op-at-a-time      (1)
 //   service_rate     replay pacing, ops/s, 0 = unpaced            (0)

@@ -56,22 +56,22 @@ Status PreadAll(int fd, char* data, size_t n, uint64_t offset) {
 
 }  // namespace
 
+size_t BTreeStore::Node::EntryBytes(size_t i) const {
+  if (!leaf) {
+    return 2 + keys[i].size() + 4;  // klen + key + right child
+  }
+  const ValueRef& v = values[i];
+  // klen + key + flag + (vlen + bytes | overflow head + total length)
+  return 2 + keys[i].size() + 1 + (v.overflow_head == 0 ? 4 + v.inline_data.size() : 8);
+}
+
 size_t BTreeStore::Node::SerializedSize() const {
   size_t size = 1 + 2 + 4;  // type + nkeys + next_leaf
-  if (leaf) {
-    for (size_t i = 0; i < keys.size(); ++i) {
-      size += 2 + keys[i].size() + 1;
-      if (values[i].overflow_head == 0) {
-        size += 4 + values[i].inline_data.size();
-      } else {
-        size += 8;
-      }
-    }
-  } else {
+  if (!leaf) {
     size += 4;  // child0
-    for (const std::string& k : keys) {
-      size += 2 + k.size() + 4;
-    }
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    size += EntryBytes(i);
   }
   return size;
 }
@@ -191,6 +191,7 @@ StatusOr<BTreeStore::Node> BTreeStore::DeserializeNode(std::string_view data) co
       p += 4;
     }
   }
+  node.bytes = static_cast<size_t>(p - data.data());  // the parsed prefix is the node
   return node;
 }
 
@@ -219,6 +220,7 @@ StatusOr<std::unique_ptr<KVStore>> BTreeStore::Open(const std::string& dir,
 
 Status BTreeStore::Recover() {
   MutexLock lock(&mu_);
+  overshoots_seen_ = pool_->overshoots();
   const std::string path = TreePath(dir_);
   bool fresh = !FileExists(path);
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -277,50 +279,48 @@ Status BTreeStore::WriteNode(uint32_t page_id, const Node& node) {
   return WritePageRaw(page_id, SerializeNode(node));
 }
 
-StatusOr<std::shared_ptr<BTreeStore::Node>> BTreeStore::ReadNode(uint32_t page_id) {
+StatusOr<BTreeStore::Node> BTreeStore::ReadNode(uint32_t page_id) {
   std::string raw;
   GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
-  auto node = DeserializeNode(raw);
-  if (!node.ok()) {
-    return node.status();
-  }
-  return std::make_shared<Node>(std::move(*node));
+  return DeserializeNode(raw);
 }
 
-StatusOr<std::shared_ptr<BTreeStore::Node>> BTreeStore::FetchNode(uint32_t page_id,
-                                                                  bool fill_cache) {
-  // Dirty table first: a dirty node is the page's only truth — the pool may
-  // have evicted its frame, and the on-disk bytes are stale.
-  auto dit = dirty_.find(page_id);
-  if (dit != dirty_.end()) {
-    return dit->second;
-  }
-  if (PinnedBlock cached = pool_->Lookup(pool_file_id_, page_id);
-      cached && cached.object() != nullptr) {
-    return std::static_pointer_cast<Node>(cached.object());
+StatusOr<BTreeStore::NodeRef> BTreeStore::FetchNode(uint32_t page_id, bool fill_cache) {
+  NodeRef ref;
+  ref.page_id = page_id;
+  ref.pin = pool_->Lookup(pool_file_id_, page_id);
+  if (ref.pin && ref.pin.object() != nullptr) {
+    ref.node = static_cast<Node*>(ref.pin.object().get());
+    return ref;
   }
   auto node = ReadNode(page_id);
   if (!node.ok()) {
     return node.status();
   }
   if (fill_cache) {
-    pool_->Insert(pool_file_id_, page_id, nullptr, *node, opts_.page_size);
+    auto object = std::make_shared<Node>(std::move(*node));
+    ref.node = object.get();
+    ref.pin = pool_->Insert(pool_file_id_, page_id, nullptr, std::move(object), opts_.page_size);
+  } else {
+    ref.uncached = std::make_unique<Node>(std::move(*node));
+    ref.node = ref.uncached.get();
   }
-  return *node;
+  return ref;
 }
 
-void BTreeStore::MarkDirty(uint32_t page_id, const std::shared_ptr<Node>& node) {
-  dirty_[page_id] = node;
+void BTreeStore::MarkDirty(NodeRef* ref) {
+  // Writers fetch with fill_cache, so `ref` always holds a pin to keep.
+  dirty_.try_emplace(ref->page_id, std::move(ref->pin));
 }
 
 void BTreeStore::InstallNode(uint32_t page_id, std::shared_ptr<Node> node) {
-  pool_->Insert(pool_file_id_, page_id, nullptr, node, opts_.page_size);
-  dirty_[page_id] = std::move(node);
+  dirty_.try_emplace(page_id, pool_->Insert(pool_file_id_, page_id, nullptr, std::move(node),
+                                            opts_.page_size));
 }
 
 Status BTreeStore::WriteBackDirtyLocked() {
-  for (auto& [page_id, node] : dirty_) {
-    GADGET_RETURN_IF_ERROR(WriteNode(page_id, *node));
+  for (const auto& [page_id, pin] : dirty_) {
+    GADGET_RETURN_IF_ERROR(WriteNode(page_id, *static_cast<const Node*>(pin.object().get())));
     ++stats_.flushes;
   }
   dirty_.clear();
@@ -328,9 +328,11 @@ Status BTreeStore::WriteBackDirtyLocked() {
 }
 
 Status BTreeStore::MaybeWriteBackLocked() {
-  if (dirty_.size() < kMaxDirtyPages) {
+  const uint64_t overshoots = pool_->overshoots();
+  if (overshoots == overshoots_seen_) {
     return Status::Ok();
   }
+  overshoots_seen_ = overshoots;
   return WriteBackDirtyLocked();
 }
 
@@ -348,9 +350,8 @@ uint32_t BTreeStore::AllocPage() {
 }
 
 void BTreeStore::FreePage(uint32_t page_id) {
-  // Thread onto the free list; drop any cached copy.
-  dirty_.erase(page_id);
-  pool_->Erase(pool_file_id_, page_id);
+  // Thread onto the free list. Only overflow pages are freed, and they never
+  // enter the pool.
   std::string raw;
   PutFixed32(&raw, free_head_);
   raw.resize(opts_.page_size, '\0');
@@ -437,58 +438,53 @@ void BTreeStore::ReleaseValue(const ValueRef& ref) {
 
 // ----------------------------------------------------------------- tree ops
 
-StatusOr<uint32_t> BTreeStore::DescendToLeaf(std::string_view key,
-                                             std::vector<PathEntry>* path) {
-  uint32_t page_id = root_;
-  for (;;) {
-    auto node = FetchNode(page_id);
-    if (!node.ok()) {
-      return node.status();
-    }
-    if ((*node)->leaf) {
-      return page_id;
-    }
-    const auto& keys = (*node)->keys;
+StatusOr<BTreeStore::NodeRef> BTreeStore::DescendToLeaf(std::string_view key,
+                                                        std::vector<PathEntry>* path,
+                                                        bool fill_cache) {
+  if (path != nullptr) {
+    path->clear();
+  }
+  auto ref = FetchNode(root_, fill_cache);
+  while (ref.ok() && !ref->node->leaf) {
+    const auto& keys = ref->node->keys;
     size_t idx = static_cast<size_t>(
         std::upper_bound(keys.begin(), keys.end(), key,
                          [](std::string_view k, const std::string& sep) { return k < sep; }) -
         keys.begin());
-    path->push_back(PathEntry{page_id, idx});
-    page_id = (*node)->children[idx];
+    if (path != nullptr) {
+      path->push_back(PathEntry{ref->page_id, idx});
+    }
+    // Unpin the parent before fetching the child: under pool pressure a
+    // clean parent is an eviction victim, where a pinned one would make the
+    // pool overshoot and force a write-back.
+    const uint32_t child = ref->node->children[idx];
+    ref->pin.Release();
+    ref = FetchNode(child, fill_cache);
   }
+  return ref;
 }
 
 Status BTreeStore::GetLocked(std::string_view key, std::string* value, bool fill_cache) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
-  }
-  auto leaf = FetchNode(*leaf_id, fill_cache);
+  auto leaf = DescendToLeaf(key, nullptr, fill_cache);
   if (!leaf.ok()) {
     return leaf.status();
   }
-  const auto& keys = (*leaf)->keys;
+  const auto& keys = leaf->node->keys;
   auto it = std::lower_bound(keys.begin(), keys.end(), key,
                              [](const std::string& k, std::string_view q) { return k < q; });
   if (it == keys.end() || std::string_view(*it) != key) {
     return Status::NotFound();
   }
   size_t idx = static_cast<size_t>(it - keys.begin());
-  return LoadValue((*leaf)->values[idx], value);
+  return LoadValue(leaf->node->values[idx], value);
 }
 
 Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
-  }
-  auto leaf = FetchNode(*leaf_id);
+  auto leaf = DescendToLeaf(key, &path_);
   if (!leaf.ok()) {
     return leaf.status();
   }
-  Node& node = **leaf;
+  Node& node = *leaf->node;
   auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
                              [](const std::string& k, std::string_view q) { return k < q; });
   size_t idx = static_cast<size_t>(it - node.keys.begin());
@@ -498,148 +494,112 @@ Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
   }
   if (it != node.keys.end() && std::string_view(*it) == key) {
     ReleaseValue(node.values[idx]);
+    node.bytes -= node.EntryBytes(idx);
     node.values[idx] = std::move(*new_ref);
   } else {
     node.keys.insert(node.keys.begin() + static_cast<long>(idx), std::string(key));
     node.values.insert(node.values.begin() + static_cast<long>(idx), std::move(*new_ref));
   }
-  MarkDirty(*leaf_id, *leaf);
-  if (node.SerializedSize() > opts_.page_size) {
-    return SplitAndInsert(*leaf_id, std::move(path));
+  node.bytes += node.EntryBytes(idx);
+  MarkDirty(&*leaf);
+  if (node.bytes > opts_.page_size) {
+    return SplitAndInsert(leaf->page_id, &node);
   }
   return Status::Ok();
 }
 
-Status BTreeStore::SplitAndInsert(uint32_t page_id, std::vector<PathEntry> path) {
-  for (;;) {
-    auto node_or = FetchNode(page_id);
-    if (!node_or.ok()) {
-      return node_or.status();
-    }
-    Node& node = **node_or;
-    if (node.SerializedSize() <= opts_.page_size) {
-      return Status::Ok();
-    }
+Status BTreeStore::SplitAndInsert(uint32_t page_id, Node* node) {
+  while (node->bytes > opts_.page_size) {
     // Split `node` into itself (left) and a new right sibling at the size
-    // midpoint.
+    // midpoint; `separator` goes up to the parent.
     auto right = std::make_shared<Node>();
-    right->leaf = node.leaf;
-
-    size_t total = node.SerializedSize();
+    right->leaf = node->leaf;
+    const size_t total = node->bytes;
+    const size_t n = node->keys.size();
     size_t acc = 0;
     size_t split_idx = 0;
-    if (node.leaf) {
-      for (size_t i = 0; i < node.keys.size(); ++i) {
-        size_t entry = 3 + node.keys[i].size() +
-                       (node.values[i].overflow_head == 0
-                            ? 4 + node.values[i].inline_data.size()
-                            : 8);
-        acc += entry;
+    std::string separator;
+    if (node->leaf) {
+      for (size_t i = 0; i < n; ++i) {
+        acc += node->EntryBytes(i);
         if (acc >= total / 2) {
           split_idx = i + 1;
           break;
         }
       }
-      split_idx = std::clamp<size_t>(split_idx, 1, node.keys.size() - 1);
-      right->keys.assign(node.keys.begin() + static_cast<long>(split_idx), node.keys.end());
-      right->values.assign(node.values.begin() + static_cast<long>(split_idx),
-                           node.values.end());
-      node.keys.resize(split_idx);
-      node.values.resize(split_idx);
-      uint32_t right_id = AllocPage();
-      right->next_leaf = node.next_leaf;
-      node.next_leaf = right_id;
-      MarkDirty(page_id, *node_or);
-      InstallNode(right_id, right);
-
-      std::string separator = right->keys.front();
-      // Insert the separator into the parent (or grow a new root).
-      if (path.empty()) {
-        auto new_root = std::make_shared<Node>();
-        new_root->leaf = false;
-        new_root->keys.push_back(separator);
-        new_root->children = {page_id, right_id};
-        uint32_t new_root_id = AllocPage();
-        InstallNode(new_root_id, new_root);
-        root_ = new_root_id;
-        ++height_;
-        GADGET_RETURN_IF_ERROR(PersistMeta());
-        return Status::Ok();
+      split_idx = std::clamp<size_t>(split_idx, 1, n - 1);
+      right->keys.assign(node->keys.begin() + static_cast<long>(split_idx), node->keys.end());
+      right->values.assign(node->values.begin() + static_cast<long>(split_idx),
+                           node->values.end());
+      node->keys.resize(split_idx);
+      node->values.resize(split_idx);
+      separator = right->keys.front();
+    } else {
+      // Internal node: promote the key at the midpoint.
+      split_idx = n / 2;
+      for (size_t i = 0; i < n; ++i) {
+        acc += node->EntryBytes(i);
+        if (acc >= total / 2) {
+          split_idx = i;
+          break;
+        }
       }
-      PathEntry parent = path.back();
-      path.pop_back();
-      auto parent_node = FetchNode(parent.page_id);
-      if (!parent_node.ok()) {
-        return parent_node.status();
-      }
-      Node& pn = **parent_node;
-      pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index), separator);
-      pn.children.insert(pn.children.begin() + static_cast<long>(parent.child_index) + 1,
-                         right_id);
-      MarkDirty(parent.page_id, *parent_node);
-      page_id = parent.page_id;  // continue loop: parent may now overflow
-      continue;
+      split_idx = std::clamp<size_t>(split_idx, 1, n > 2 ? n - 2 : 1);
+      separator = std::move(node->keys[split_idx]);
+      right->keys.assign(node->keys.begin() + static_cast<long>(split_idx) + 1,
+                         node->keys.end());
+      right->children.assign(node->children.begin() + static_cast<long>(split_idx) + 1,
+                             node->children.end());
+      node->keys.resize(split_idx);
+      node->children.resize(split_idx + 1);
     }
-    // Internal node split: promote the middle key.
-    size_t n = node.keys.size();
-    acc = 0;
-    split_idx = n / 2;
-    for (size_t i = 0; i < n; ++i) {
-      acc += 6 + node.keys[i].size();
-      if (acc >= total / 2) {
-        split_idx = i;
-        break;
-      }
+    node->bytes = node->SerializedSize();
+    right->bytes = right->SerializedSize();
+    const uint32_t right_id = AllocPage();
+    if (node->leaf) {
+      right->next_leaf = node->next_leaf;
+      node->next_leaf = right_id;
     }
-    split_idx = std::clamp<size_t>(split_idx, 1, n - 2 > 0 ? n - 2 : 1);
-    std::string promoted = node.keys[split_idx];
-    right->keys.assign(node.keys.begin() + static_cast<long>(split_idx) + 1, node.keys.end());
-    right->children.assign(node.children.begin() + static_cast<long>(split_idx) + 1,
-                           node.children.end());
-    node.keys.resize(split_idx);
-    node.children.resize(split_idx + 1);
-    uint32_t right_id = AllocPage();
-    MarkDirty(page_id, *node_or);
-    InstallNode(right_id, right);
+    InstallNode(right_id, std::move(right));
 
-    if (path.empty()) {
+    if (path_.empty()) {
+      // The root split: grow a new root above the two halves.
       auto new_root = std::make_shared<Node>();
       new_root->leaf = false;
-      new_root->keys.push_back(promoted);
+      new_root->keys.push_back(std::move(separator));
       new_root->children = {page_id, right_id};
-      uint32_t new_root_id = AllocPage();
-      InstallNode(new_root_id, new_root);
+      new_root->bytes = new_root->SerializedSize();
+      const uint32_t new_root_id = AllocPage();
+      InstallNode(new_root_id, std::move(new_root));
       root_ = new_root_id;
       ++height_;
-      GADGET_RETURN_IF_ERROR(PersistMeta());
-      return Status::Ok();
+      return PersistMeta();
     }
-    PathEntry parent = path.back();
-    path.pop_back();
-    auto parent_node = FetchNode(parent.page_id);
-    if (!parent_node.ok()) {
-      return parent_node.status();
+    const PathEntry parent = path_.back();
+    path_.pop_back();
+    auto parent_ref = FetchNode(parent.page_id);
+    if (!parent_ref.ok()) {
+      return parent_ref.status();
     }
-    Node& pn = **parent_node;
-    pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index), promoted);
+    Node& pn = *parent_ref->node;
+    pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index),
+                   std::move(separator));
     pn.children.insert(pn.children.begin() + static_cast<long>(parent.child_index) + 1,
                        right_id);
-    MarkDirty(parent.page_id, *parent_node);
-    page_id = parent.page_id;
+    pn.bytes += pn.EntryBytes(parent.child_index);
+    MarkDirty(&*parent_ref);
+    page_id = parent.page_id;  // the parent may now overflow in turn
+    node = &pn;
   }
+  return Status::Ok();
 }
 
 Status BTreeStore::DeleteLocked(std::string_view key) {
-  std::vector<PathEntry> path;
-  auto leaf_id = DescendToLeaf(key, &path);
-  if (!leaf_id.ok()) {
-    return leaf_id.status();
-  }
-  auto leaf = FetchNode(*leaf_id);
+  auto leaf = DescendToLeaf(key, nullptr);
   if (!leaf.ok()) {
     return leaf.status();
   }
-  Node& node = **leaf;
+  Node& node = *leaf->node;
   auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
                              [](const std::string& k, std::string_view q) { return k < q; });
   if (it == node.keys.end() || std::string_view(*it) != key) {
@@ -647,12 +607,13 @@ Status BTreeStore::DeleteLocked(std::string_view key) {
   }
   size_t idx = static_cast<size_t>(it - node.keys.begin());
   ReleaseValue(node.values[idx]);
+  node.bytes -= node.EntryBytes(idx);
   node.keys.erase(it);
   node.values.erase(node.values.begin() + static_cast<long>(idx));
-  MarkDirty(*leaf_id, *leaf);
-  // No rebalancing: empty non-root leaves stay linked but hold no entries;
-  // their pages are reused only after the parent range empties out. This is
-  // the lazy-reclamation model (see header).
+  MarkDirty(&*leaf);
+  // No rebalancing: an emptied leaf stays linked and later inserts in its
+  // key range refill it; its page never returns to the free list (see the
+  // header).
   return Status::Ok();
 }
 
@@ -689,6 +650,8 @@ Status BTreeStore::Get(std::string_view key, std::string* value, const ReadOptio
   if (s.ok()) {
     stats_.bytes_read += value->size();
   }
+  // A read can overshoot the pool too: release the dirty pages that fill it.
+  GADGET_RETURN_IF_ERROR(MaybeWriteBackLocked());
   return s;
 }
 
@@ -769,6 +732,7 @@ Status BTreeStore::MultiGet(const std::vector<std::string>& keys,
     (*statuses)[i] = std::move(s);
   }
   NoteBatch(keys.size());
+  GADGET_RETURN_IF_ERROR(MaybeWriteBackLocked());
   return first_error;
 }
 
@@ -864,7 +828,7 @@ uint64_t BTreeStore::num_pages() const {
 Status BTreeStore::CheckInvariants() {
   MutexLock lock(&mu_);
   // Iterative BFS verifying (a) key ordering within nodes, (b) separator
-  // bounds, (c) uniform leaf depth.
+  // bounds, (c) uniform leaf depth, (d) each node's cached size.
   struct Item {
     uint32_t page_id;
     uint32_t depth;
@@ -881,7 +845,10 @@ Status BTreeStore::CheckInvariants() {
     if (!node.ok()) {
       return node.status();
     }
-    const Node& n = **node;
+    const Node& n = *node->node;
+    if (n.bytes != n.SerializedSize() || n.bytes > opts_.page_size) {
+      return Status::Corruption("bad cached size in page " + std::to_string(item.page_id));
+    }
     for (size_t i = 1; i < n.keys.size(); ++i) {
       if (n.keys[i - 1] >= n.keys[i]) {
         return Status::Corruption("keys out of order in page " + std::to_string(item.page_id));

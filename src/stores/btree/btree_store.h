@@ -5,14 +5,21 @@
 // updates when the new value fits, leaf splits on overflow, and
 // overflow-page chains for values larger than a quarter page (holistic
 // window buckets grow far beyond a page). Deletes remove entries without
-// rebalancing (pages return to a free list when empty), which matches
-// BerkeleyDB's lazy reclamation behaviour closely enough for benchmarking.
+// rebalancing: an emptied leaf stays linked and later inserts in its key
+// range refill it. Node pages never return to the free list; only overflow
+// pages do. This matches BerkeleyDB's lazy reclamation behaviour closely
+// enough for benchmarking.
 //
-// Durability model: dirty nodes are held in a side table (unevictable — the
-// pool may drop its frame, the node object survives) and written back when
-// the table grows past a threshold, on Flush() and on Close(). FetchNode
-// consults the dirty table before the pool, so an evicted-then-refetched
-// dirty page can never resurrect its stale on-disk bytes.
+// Write-back model: the pool is a write-back cache whose budget is the
+// store's only memory bound, as BerkeleyDB's own cache is. A mutated node
+// keeps the pin on its pool frame until it is written back, so it is
+// charged to the pool and cannot be evicted: the pool always holds the
+// page's current bytes. Dirty pages are written back, and unpinned, on
+// Flush(), Checkpoint() and Close(), and when the pool is under pressure:
+// the first call after the pool had to admit a frame over budget because
+// every frame in a shard was pinned (BufferPool::overshoots()) writes back
+// this store's whole dirty set. A tree that fits the pool writes nothing
+// until it is flushed.
 // Crash-consistency (journaling) is out of scope — the paper benchmarks the
 // storage engine data path, not transactional recovery (DESIGN.md §2).
 #ifndef GADGET_STORES_BTREE_BTREE_STORE_H_
@@ -31,11 +38,13 @@
 
 namespace gadget {
 
+// The tree has no log: its pages are durable only after Flush(),
+// Checkpoint() or Close(), so OpenStore refuses StoreOptions::sync_writes
+// for it.
 struct BTreeOptions {
   uint32_t page_size = 4096;
-  // Page residency is bounded by the BufferPool passed to Open (sized by
-  // StoreOptions::buffer_pool), not per-store.
-  bool sync_writes = false;
+  // Page residency, dirty pages included, is bounded by the BufferPool
+  // passed to Open (sized by StoreOptions::buffer_pool), not per-store.
 };
 
 class BTreeStore : public KVStore {
@@ -57,7 +66,7 @@ class BTreeStore : public KVStore {
   Status Delete(std::string_view key) override;
   Status ReadModifyWrite(std::string_view key, std::string_view operand) override;
 
-  // Batched paths: one mu_ acquisition and one write-back sweep per batch
+  // Batched paths: one mu_ acquisition and one pool-pressure check per batch
   // instead of one per operation (page granularity — consecutive entries
   // hitting the same leaf reuse the cached page without re-locking).
   Status Write(const WriteBatch& batch) override;
@@ -94,7 +103,23 @@ class BTreeStore : public KVStore {
     std::vector<ValueRef> values;     // leaf: parallel to keys
     std::vector<uint32_t> children;   // internal: keys.size() + 1 entries
     uint32_t next_leaf = 0;
+    // Serialized size, kept current by every insert, replace, erase and
+    // split so the overflow check never rescans the node.
+    size_t bytes = 0;
+    // Serialized size of entry i: keys[i] with its value (leaf) or its right
+    // child (internal).
+    size_t EntryBytes(size_t i) const;
+    // Recomputes the serialized size from scratch.
     size_t SerializedSize() const;
+  };
+  // A node fetched for one operation. `pin` holds its pool frame, which
+  // keeps `node` alive and resident; a fill_cache=false miss is never
+  // admitted, so `uncached` owns that node instead and `pin` is empty.
+  struct NodeRef {
+    uint32_t page_id = 0;
+    Node* node = nullptr;
+    PinnedBlock pin;
+    std::unique_ptr<Node> uncached;
   };
 
   BTreeStore(std::string dir, const BTreeOptions& opts, std::shared_ptr<BufferPool> pool);
@@ -102,22 +127,22 @@ class BTreeStore : public KVStore {
   Status Recover();
 
   // --- page cache (mu_ held) ---
-  // Dirty table first (pool eviction must never resurrect stale disk bytes),
-  // then the pool, then disk. `fill_cache` = false skips pool admission on a
-  // miss.
-  StatusOr<std::shared_ptr<Node>> FetchNode(uint32_t page_id, bool fill_cache = true)
-      REQUIRES(mu_);
-  // Registers a mutated node in the dirty table (idempotent).
-  void MarkDirty(uint32_t page_id, const std::shared_ptr<Node>& node) REQUIRES(mu_);
-  // Admits a freshly created page to pool + dirty table (splits, new roots).
+  // The pool, then disk. A dirty page is pinned, so the pool always has it.
+  // `fill_cache` = false skips pool admission on a miss.
+  StatusOr<NodeRef> FetchNode(uint32_t page_id, bool fill_cache = true) REQUIRES(mu_);
+  // Registers a mutated node in dirty_, which keeps the node's pin
+  // (idempotent: a page already dirty keeps its first pin).
+  void MarkDirty(NodeRef* ref) REQUIRES(mu_);
+  // Admits a freshly created page to the pool, pinned and dirty (splits,
+  // new roots).
   void InstallNode(uint32_t page_id, std::shared_ptr<Node> node) REQUIRES(mu_);
-  // Writes every dirty node to the page file and clears the table (no sync).
+  // Writes every dirty node to the page file and unpins it (no sync).
   Status WriteBackDirtyLocked() REQUIRES(mu_);
-  // Bounds the dirty table: full write-back once it passes kMaxDirtyPages
-  // (the pool bounds CLEAN residency; dirty nodes live outside its budget).
+  // Full write-back once the pool has overshot its budget since this store
+  // last looked: the dirty set's pins are what keep the pool over budget.
   Status MaybeWriteBackLocked() REQUIRES(mu_);
   Status WriteNode(uint32_t page_id, const Node& node) REQUIRES(mu_);
-  StatusOr<std::shared_ptr<Node>> ReadNode(uint32_t page_id) REQUIRES(mu_);
+  StatusOr<Node> ReadNode(uint32_t page_id) REQUIRES(mu_);
   uint32_t AllocPage() REQUIRES(mu_);
   void FreePage(uint32_t page_id) REQUIRES(mu_);
   Status PersistMeta() REQUIRES(mu_);
@@ -131,15 +156,19 @@ class BTreeStore : public KVStore {
   Status PutLocked(std::string_view key, std::string_view value) REQUIRES(mu_);
   Status DeleteLocked(std::string_view key) REQUIRES(mu_);
   Status RmwLocked(std::string_view key, std::string_view operand) REQUIRES(mu_);
-  // Descends to the leaf for `key`, recording the path (page ids + child
-  // indices) for split propagation.
+  // Descends to the leaf for `key` and returns it. Writers pass `path`, which
+  // receives the internal nodes passed (page ids + child indices) for split
+  // propagation; readers pass nullptr.
   struct PathEntry {
     uint32_t page_id;
     size_t child_index;
   };
-  StatusOr<uint32_t> DescendToLeaf(std::string_view key, std::vector<PathEntry>* path)
-      REQUIRES(mu_);
-  Status SplitAndInsert(uint32_t leaf_id, std::vector<PathEntry> path) REQUIRES(mu_);
+  StatusOr<NodeRef> DescendToLeaf(std::string_view key, std::vector<PathEntry>* path,
+                                  bool fill_cache = true) REQUIRES(mu_);
+  // Splits `node` (dirty, so its pin in dirty_ keeps it alive) while it
+  // overflows its page, carrying separators up the path DescendToLeaf left
+  // in path_.
+  Status SplitAndInsert(uint32_t page_id, Node* node) REQUIRES(mu_);
 
   // --- overflow values (mu_ held) ---
   StatusOr<ValueRef> StoreValue(std::string_view value) REQUIRES(mu_);
@@ -160,9 +189,6 @@ class BTreeStore : public KVStore {
   const std::shared_ptr<BufferPool> pool_;
   uint64_t pool_file_id_ = 0;  // this store's namespace within the pool
 
-  // Write-back ceiling for the dirty table.
-  static constexpr size_t kMaxDirtyPages = 1024;
-
   mutable Mutex mu_;
   int fd_ GUARDED_BY(mu_) = -1;
   uint32_t root_ GUARDED_BY(mu_) = 0;
@@ -171,9 +197,12 @@ class BTreeStore : public KVStore {
   uint32_t free_head_ GUARDED_BY(mu_) = 0;
   uint32_t height_ GUARDED_BY(mu_) = 1;
 
-  // Mutated nodes not yet written back. Keeps the node object alive (and
-  // authoritative) even if the pool evicts its frame.
-  std::unordered_map<uint32_t, std::shared_ptr<Node>> dirty_ GUARDED_BY(mu_);
+  // Mutated nodes not yet written back, each holding its frame's pin.
+  std::unordered_map<uint32_t, PinnedBlock> dirty_ GUARDED_BY(mu_);
+  // pool_->overshoots() when this store last checked it.
+  uint64_t overshoots_seen_ GUARDED_BY(mu_) = 0;
+  // The current writer's descent, reused across operations.
+  std::vector<PathEntry> path_ GUARDED_BY(mu_);
 
   StoreStats stats_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;

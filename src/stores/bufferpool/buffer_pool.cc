@@ -102,7 +102,9 @@ PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
     TouchLocked(s, f);
     return PinnedBlock(this, shard_index, std::move(f));
   }
-  EvictForLocked(s, charge);
+  if (!EvictForLocked(s, charge)) {
+    overshoots_.fetch_add(1, std::memory_order_relaxed);
+  }
   auto f = std::make_shared<Frame>();
   f->file = file_id;
   f->offset = offset;
@@ -158,7 +160,7 @@ void BufferPool::RemoveFrameLocked(Shard& s, const std::shared_ptr<Frame>& f) {
   }
 }
 
-void BufferPool::EvictForLocked(Shard& s, size_t incoming_charge) {
+bool BufferPool::EvictForLocked(Shard& s, size_t incoming_charge) {
   while (s.bytes + incoming_charge > capacity_per_shard_ && s.bytes > 0) {
     Frame* victim = nullptr;
     if (options_.eviction == BufferPoolOptions::Eviction::kClock) {
@@ -202,13 +204,14 @@ void BufferPool::EvictForLocked(Shard& s, size_t incoming_charge) {
       }
     }
     if (victim == nullptr) {
-      return;  // all pinned: allow the transient capacity overshoot
+      return false;  // all pinned: allow the transient capacity overshoot
     }
     // Keep a reference across removal so `victim` stays valid to the end.
     std::shared_ptr<Frame> keep = s.map.at(Key{victim->file, victim->offset});
     RemoveFrameLocked(s, keep);
     evictions_.fetch_add(1, std::memory_order_relaxed);
   }
+  return true;
 }
 
 void BufferPool::Erase(uint64_t file_id, uint64_t offset) {
@@ -243,6 +246,12 @@ void BufferPool::Unpin(size_t shard_index, Frame* frame) {
   Shard& s = shards_[shard_index];
   MutexLock lock(&s.mu);
   --frame->pins;
+  // The last pin on a frame of an overshot shard: give the excess back now
+  // rather than at the shard's next Insert. Frames still pinned keep what
+  // they hold over budget.
+  if (frame->pins == 0 && s.bytes > capacity_per_shard_) {
+    EvictForLocked(s, 0);
+  }
 }
 
 uint64_t BufferPool::usage_bytes() const {

@@ -13,7 +13,10 @@
 //     table (no new lookups find it, capacity is credited back) but its
 //     storage stays alive until the last pin drops. Readers never dangle.
 //   - Insert may transiently overshoot capacity when every frame is pinned;
-//     eviction only ever removes unpinned frames.
+//     eviction only ever removes unpinned frames. Each such admission bumps
+//     overshoots(), the signal for owners of long-lived pins (the B+tree's
+//     dirty pages) to release them, and the shard gives the excess back as
+//     those pins drop.
 //
 // Eviction is per shard: clock (second chance) by default, or 2Q (FIFO
 // probation + LRU protected) via BufferPoolOptions::eviction.
@@ -138,6 +141,9 @@ class BufferPool {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
   uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
+  // Inserts admitted over budget because every frame in their shard was
+  // pinned.
+  uint64_t overshoots() const { return overshoots_.load(std::memory_order_relaxed); }
 
  private:
   friend class PinnedBlock;
@@ -170,7 +176,9 @@ class BufferPool {
     return shards_[KeyHash{}(Key{file_id, offset}) & shard_mask_];
   }
   void TouchLocked(Shard& s, const std::shared_ptr<Frame>& f) REQUIRES(s.mu);
-  void EvictForLocked(Shard& s, size_t incoming_charge) REQUIRES(s.mu);
+  // Evicts unpinned frames until `incoming_charge` fits; false when every
+  // remaining frame is pinned and it does not.
+  bool EvictForLocked(Shard& s, size_t incoming_charge) REQUIRES(s.mu);
   void RemoveFrameLocked(Shard& s, const std::shared_ptr<Frame>& f) REQUIRES(s.mu);
   void Unpin(size_t shard_index, Frame* frame);
 
@@ -184,6 +192,7 @@ class BufferPool {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> pins_{0};
+  std::atomic<uint64_t> overshoots_{0};
   IoBackend io_;
 };
 

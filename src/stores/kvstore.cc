@@ -150,6 +150,11 @@ StatusOr<std::unique_ptr<KVStore>> OpenStore(const StoreOptions& options) {
     return std::unique_ptr<KVStore>(new MemStore(
         options.mem_stripes == 0 ? MemStore::kDefaultStripes : options.mem_stripes));
   }
+  if (engine == "btree" && options.sync_writes) {
+    return Status::InvalidArgument(
+        "btree has no log to sync: its pages are durable only after Flush, Checkpoint or "
+        "Close; drop sync_writes");
+  }
   GADGET_RETURN_IF_ERROR(CreateDirIfMissing(options.dir));
   // Block-structured engines share one pool when the caller supplies it;
   // otherwise each store gets a private pool sized by options.buffer_pool.
@@ -173,9 +178,7 @@ StatusOr<std::unique_ptr<KVStore>> OpenStore(const StoreOptions& options) {
     return FasterStore::Open(options.dir, opts);
   }
   if (engine == "btree") {
-    BTreeOptions opts;
-    opts.sync_writes = options.sync_writes;
-    return BTreeStore::Open(options.dir, opts, std::move(pool));
+    return BTreeStore::Open(options.dir, BTreeOptions(), std::move(pool));
   }
   return Status::InvalidArgument("unknown engine: " + engine);
 }

@@ -278,7 +278,10 @@ class KVStore {
 //   log_memory_bytes — FASTER in-memory log window (0 = engine default);
 //   mem_stripes      — MemStore lock-stripe count (0 = MemStore default);
 //   sync_writes      — fsync the WAL / log on every commit (group commit
-//                      makes this per-batch rather than per-op);
+//                      makes this per-batch rather than per-op); btree has
+//                      no log, so OpenStore rejects it there with
+//                      InvalidArgument (its pages are durable only after
+//                      Flush/Checkpoint/Close); mem ignores it;
 //   batch_size       — default operation-coalescing width replays should use
 //                      (consumed by the harness / ReplayOptions, not the
 //                      engine).

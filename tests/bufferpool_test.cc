@@ -74,15 +74,20 @@ TEST(BufferPoolPinTest, InsertOvershootsWhenEverythingIsPinned) {
   for (uint64_t i = 0; i < 8; ++i) {
     pins.push_back(pool.InsertBlock(1, i * 4096, std::string(1024, 'x')));
   }
-  // 8KB pinned in a 2KB pool: usage overshoots rather than evicting pins.
+  // 8KB pinned in a 2KB pool: usage overshoots rather than evicting pins,
+  // and every insert past the second is counted.
   EXPECT_GE(pool.usage_bytes(), 8 * 1024u);
+  EXPECT_EQ(pool.overshoots(), 6u);
   for (auto& p : pins) {
     EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, (&p - pins.data()) * 4096)));
   }
   pins.clear();
-  // With pins gone, the next insert shrinks usage back under capacity.
+  // With pins gone, the overshoot is given back as they drop...
+  EXPECT_LE(pool.usage_bytes(), 2 * 1024u);
+  // ...and the next insert fits without another one.
   pool.InsertBlock(1, 9 * 4096, std::string(1024, 'y'));
   EXPECT_LE(pool.usage_bytes(), 2 * 1024u + 1024u);
+  EXPECT_EQ(pool.overshoots(), 6u);
 }
 
 // ------------------------------------------------------ clock-hand fairness

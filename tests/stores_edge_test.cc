@@ -3,9 +3,11 @@
 // transitions, B+tree page boundary conditions, and Lethe-vs-LSM contrast.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
 #include "src/common/file_util.h"
+#include "src/common/rng.h"
 #include "src/stores/btree/btree_store.h"
 #include "src/stores/faster/faster_store.h"
 #include "src/stores/kvstore.h"
@@ -118,8 +120,8 @@ TEST(CachePressureTest, BTreeEvictsDirtyPagesCorrectly) {
   ScopedTempDir dir;
   BTreeOptions opts;
   opts.page_size = 512;
-  // 4-page pool: every leaf walk evicts; dirty pages must survive via the
-  // dirty table.
+  // 4-page pool: every leaf walk evicts. Dirty pages survive because they
+  // stay pinned until written back, and a pinned frame is never evicted.
   auto pool = std::make_shared<BufferPool>(
       BufferPoolOptions{.capacity_bytes = 2 * 1024, .shards = 1});
   auto store = BTreeStore::Open(dir.path(), opts, pool);
@@ -135,6 +137,171 @@ TEST(CachePressureTest, BTreeEvictsDirtyPagesCorrectly) {
   auto* btree = static_cast<BTreeStore*>(store->get());
   ASSERT_TRUE(btree->CheckInvariants().ok());
   ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(CachePressureTest, BTreeDirtyPagesStayWithinPoolBudget) {
+  // One B+tree a little larger than its 8-page pool, rewritten at random so
+  // every page is dirtied again and again. Dirty pages are pinned frames,
+  // and the pool gives back what it admitted over budget as soon as the
+  // write-back unpins them: after every call the pool is within budget.
+  constexpr uint32_t kPage = 512;
+  constexpr uint64_t kCapacity = 8 * kPage;
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  auto pool =
+      std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = kCapacity, .shards = 1});
+  auto store = BTreeStore::Open(dir.path(), opts, pool);
+  ASSERT_TRUE(store.ok());
+  std::map<std::string, std::string> want;
+  Pcg32 rng(5);
+  for (int i = 0; i < 5000; ++i) {
+    const std::string key = "key" + std::to_string(rng.NextBounded(150));
+    const std::string value(20 + rng.NextBounded(40), static_cast<char>('a' + i % 26));
+    ASSERT_TRUE((*store)->Put(key, value).ok());
+    want[key] = value;
+    ASSERT_LE(pool->usage_bytes(), kCapacity) << "after call " << i;
+  }
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  EXPECT_GT(btree->num_pages() * kPage, kCapacity + 2 * kPage);
+  EXPECT_GT(pool->overshoots(), 0u);
+  std::string value;
+  for (const auto& [key, expected] : want) {
+    ASSERT_TRUE((*store)->Get(key, &value).ok()) << key;
+    ASSERT_EQ(value, expected) << key;
+    ASSERT_LE(pool->usage_bytes(), kCapacity) << key;
+  }
+  ASSERT_TRUE(btree->CheckInvariants().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(CachePressureTest, BTreeReadAfterOvershootWritesBack) {
+  // Store A fills a shared 8-page pool with its dirty pages; store B's first
+  // Put then overshoots the pool. A's next call is a read, and it must
+  // release A's pins: write back A's dirty set and bring the pool back
+  // within budget.
+  constexpr uint32_t kPage = 512;
+  constexpr uint64_t kCapacity = 8 * kPage;
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  auto pool =
+      std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = kCapacity, .shards = 1});
+  auto a = BTreeStore::Open(dir.path() + "/a", opts, pool);
+  auto b = BTreeStore::Open(dir.path() + "/b", opts, pool);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  auto* tree_a = static_cast<BTreeStore*>(a->get());
+  // Past the first root split, each leaf split adds one page: stop at 8.
+  for (int i = 0; tree_a->num_pages() - 1 < 8; ++i) {
+    ASSERT_TRUE((*a)->Put("key" + std::to_string(i), std::string(40, 'a')).ok());
+  }
+  ASSERT_EQ(tree_a->num_pages() - 1, 8u);
+  ASSERT_EQ(pool->overshoots(), 0u);
+  ASSERT_EQ(tree_a->stats().flushes, 0u);
+  ASSERT_TRUE((*b)->Put("b", "b").ok());
+  ASSERT_GT(pool->overshoots(), 0u);
+  std::string value;
+  ASSERT_TRUE((*a)->Get("key0", &value).ok());
+  EXPECT_EQ(tree_a->stats().flushes, 8u);
+  EXPECT_LE(pool->usage_bytes(), kCapacity);
+  ASSERT_TRUE((*a)->Close().ok());
+  ASSERT_TRUE((*b)->Close().ok());
+}
+
+TEST(CachePressureTest, SharedPoolBudgetHoldsUnderBTreeWrites) {
+  // Four B+trees on one 16-page pool, written in turn. Dirty pages are
+  // pinned frames inside that budget, so after any call the pool may run
+  // over it only by what calls pinned since the last overshoot: each store
+  // writes back at the end of its first call after one. A Put pins at most
+  // its descent (which a split cascade dirties), one new right sibling per
+  // level and a new root: 2h + 1 pages at height h.
+  constexpr uint32_t kPage = 512;
+  constexpr uint64_t kCapacity = 16 * kPage;
+  constexpr int kStores = 4;
+  constexpr uint32_t kMaxHeight = 3;  // checked below
+  constexpr uint64_t kBound = kCapacity + kStores * (2 * kMaxHeight + 1) * kPage;
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  auto pool =
+      std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = kCapacity, .shards = 1});
+  std::vector<std::unique_ptr<KVStore>> stores;
+  for (int s = 0; s < kStores; ++s) {
+    auto store = BTreeStore::Open(dir.path() + "/" + std::to_string(s), opts, pool);
+    ASSERT_TRUE(store.ok());
+    stores.push_back(std::move(*store));
+  }
+  std::vector<std::map<std::string, std::string>> want(kStores);
+  Pcg32 rng(3);
+  for (int i = 0; i < 4000; ++i) {
+    const int s = i % kStores;
+    const std::string key = "key" + std::to_string(rng.NextBounded(1500));
+    const std::string value(20 + rng.NextBounded(40), static_cast<char>('a' + s));
+    ASSERT_TRUE(stores[static_cast<size_t>(s)]->Put(key, value).ok());
+    want[static_cast<size_t>(s)][key] = value;
+    ASSERT_LE(pool->usage_bytes(), kBound) << "after call " << i;
+  }
+  // The trees outgrew the pool many times over, so the budget was under
+  // pressure and every store wrote back under it.
+  EXPECT_GT(pool->overshoots(), 0u);
+  for (int s = 0; s < kStores; ++s) {
+    auto* btree = static_cast<BTreeStore*>(stores[static_cast<size_t>(s)].get());
+    EXPECT_GT(btree->num_pages() * kPage, 2 * kCapacity);
+    EXPECT_LE(btree->height(), kMaxHeight);
+    EXPECT_GT(btree->stats().flushes, 0u);
+    ASSERT_TRUE(btree->Close().ok());
+  }
+  for (int s = 0; s < kStores; ++s) {
+    auto store = BTreeStore::Open(dir.path() + "/" + std::to_string(s), opts);
+    ASSERT_TRUE(store.ok());
+    std::string value;
+    for (const auto& [key, expected] : want[static_cast<size_t>(s)]) {
+      ASSERT_TRUE((*store)->Get(key, &value).ok()) << s << " " << key;
+      ASSERT_EQ(value, expected) << s << " " << key;
+    }
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+}
+
+TEST(CachePressureTest, BTreesWriteConcurrentlyUnderPoolPressure) {
+  // Two B+trees on one 8-page pool, each written by its own thread: one
+  // store's inserts overshoot on frames the other keeps pinned, and the
+  // overshoot is given back as either store unpins (run under TSan in CI).
+  constexpr uint32_t kPage = 512;
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  auto pool =
+      std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = 8 * kPage, .shards = 1});
+  std::vector<std::unique_ptr<KVStore>> stores;
+  for (int s = 0; s < 2; ++s) {
+    auto store = BTreeStore::Open(dir.path() + "/" + std::to_string(s), opts, pool);
+    ASSERT_TRUE(store.ok());
+    stores.push_back(std::move(*store));
+  }
+  auto writer = [&](int s) {
+    for (int i = 0; i < 2000; ++i) {
+      const std::string key = "key" + std::to_string(i % 500);
+      ASSERT_TRUE(
+          stores[static_cast<size_t>(s)]->Put(key, std::string(40, static_cast<char>('a' + s))).ok());
+    }
+  };
+  std::thread t0(writer, 0), t1(writer, 1);
+  t0.join();
+  t1.join();
+  EXPECT_GT(pool->overshoots(), 0u);
+  for (int s = 0; s < 2; ++s) {
+    std::string value;
+    for (int k = 0; k < 500; ++k) {
+      ASSERT_TRUE(stores[static_cast<size_t>(s)]->Get("key" + std::to_string(k), &value).ok());
+      ASSERT_EQ(value, std::string(40, static_cast<char>('a' + s)));
+    }
+    ASSERT_TRUE(static_cast<BTreeStore*>(stores[static_cast<size_t>(s)].get())
+                    ->CheckInvariants()
+                    .ok());
+    ASSERT_TRUE(stores[static_cast<size_t>(s)]->Close().ok());
+  }
 }
 
 // --------------------------------------------------------- FASTER specifics

@@ -467,6 +467,187 @@ TEST(BTreeStoreTest, PersistsAcrossReopen) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
+TEST(BTreeStoreTest, TreeThatFitsThePoolWritesNothingBeforeFlush) {
+  // The pool is a write-back cache: a tree that fits it writes no page
+  // until Flush, however many pages are dirty.
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = 512;
+  const int n = 30000;
+  auto key_of = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%08d", i);
+    return std::string(key);
+  };
+  // A leaf entry is at most 2 + 9 + 1 + 4 + 6 = 22 bytes (klen, key, flag,
+  // vlen, "v29999"), so a 512-byte leaf holds at most 22 keys and the tree
+  // has more than 1,024 leaf pages.
+  static_assert(30000 / 22 > 1024);
+  {
+    auto pool = std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = 4 << 20});
+    auto store = BTreeStore::Open(dir.path(), opts, pool);
+    ASSERT_TRUE(store.ok());
+    auto* btree = static_cast<BTreeStore*>(store->get());
+    std::vector<int> order(n);
+    for (int i = 0; i < n; ++i) {
+      order[static_cast<size_t>(i)] = i;
+    }
+    Pcg32 rng(9);
+    for (int i = n - 1; i > 0; --i) {
+      std::swap(order[static_cast<size_t>(i)],
+                order[rng.NextBounded(static_cast<uint32_t>(i + 1))]);
+    }
+    for (int i : order) {
+      ASSERT_TRUE((*store)->Put(key_of(i), "v" + std::to_string(i)).ok());
+    }
+    EXPECT_EQ(pool->overshoots(), 0u);
+    EXPECT_EQ((*store)->stats().flushes, 0u);
+    // Every node page is dirty (page 0 is the meta page, and no value
+    // overflows), and Flush writes each exactly once.
+    const uint64_t node_pages = btree->num_pages() - 1;
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ((*store)->stats().flushes, node_pages);
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ((*store)->stats().flushes, node_pages);
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  // Reopen on a fresh pool: every read comes from the page file.
+  auto store = BTreeStore::Open(dir.path(), opts);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+  std::string value;
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE((*store)->Get(key_of(i), &value).ok()) << i;
+    ASSERT_EQ(value, "v" + std::to_string(i));
+  }
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, RejectsSyncWrites) {
+  // The B+tree has no log to sync; asking for synced writes must fail
+  // rather than silently run unsynced.
+  ScopedTempDir dir;
+  auto store = OpenStore({.engine = "btree", .dir = dir.path() + "/db", .sync_writes = true});
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsInvalidArgument()) << store.status().ToString();
+  EXPECT_FALSE(FileExists(dir.path() + "/db"));  // refused before touching the disk
+}
+
+// Randomized ops against a MemStore oracle, with the pool at three sizes:
+// one that fits the tree (nothing is written back before Flush), and 8 and
+// 2 pages, far smaller than the tree, where the pressure write-back runs
+// throughout.
+// Each phase reopens the store on a fresh pool, checks every key, runs
+// ops, checks the tree and flushes.
+class BTreePoolOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BTreePoolOracleTest, MatchesMemStoreAcrossFlushAndReopen) {
+  constexpr uint32_t kPage = 512;
+  constexpr int kKeys = 500;
+  const uint64_t pool_pages = GetParam();  // 0: a pool that fits the tree
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  BufferPoolOptions popts;
+  popts.capacity_bytes = pool_pages == 0 ? (8 << 20) : pool_pages * kPage;
+  popts.shards = 1;
+  ScopedTempDir dir;
+  MemStore oracle;
+  Pcg32 rng(pool_pages + 1);
+  auto random_key = [&] { return "key" + std::to_string(rng.NextBounded(kKeys)); };
+  auto random_value = [&] {
+    // One value in ten is longer than a quarter page and overflows.
+    const uint32_t len =
+        rng.NextBounded(10) == 0 ? kPage / 4 + 1 + rng.NextBounded(1500) : rng.NextBounded(40);
+    return std::string(len, static_cast<char>('a' + rng.NextBounded(26)));
+  };
+  auto check = [&](const std::string& key, const Status& got_status, const std::string& got) {
+    std::string want;
+    const Status want_status = oracle.Get(key, &want);
+    ASSERT_EQ(got_status.ok(), want_status.ok()) << key << ": " << got_status.ToString();
+    ASSERT_TRUE(got_status.ok() || got_status.IsNotFound()) << got_status.ToString();
+    if (want_status.ok()) {
+      ASSERT_EQ(got, want) << key;
+    }
+  };
+  auto check_all = [&](KVStore* store) {
+    for (int k = 0; k < kKeys; ++k) {
+      const std::string key = "key" + std::to_string(k);
+      std::string got;
+      const Status s = store->Get(key, &got);
+      check(key, s, got);
+    }
+  };
+  for (int phase = 0; phase < 3; ++phase) {
+    auto pool = std::make_shared<BufferPool>(popts);
+    auto store_or = BTreeStore::Open(dir.path(), opts, pool);
+    ASSERT_TRUE(store_or.ok());
+    KVStore* store = store_or->get();
+    auto* btree = static_cast<BTreeStore*>(store);
+    check_all(store);
+    for (int i = 0; i < 2000; ++i) {
+      const uint32_t dice = rng.NextBounded(100);
+      if (dice < 30) {
+        const std::string key = random_key();
+        const std::string value = random_value();
+        ASSERT_TRUE(store->Put(key, value).ok());
+        ASSERT_TRUE(oracle.Put(key, value).ok());
+      } else if (dice < 50) {
+        // The B+tree runs a batched merge as an eager read-modify-write.
+        WriteBatch batch;
+        const uint32_t count = 1 + rng.NextBounded(8);
+        for (uint32_t j = 0; j < count; ++j) {
+          batch.Merge(random_key(), "+" + std::to_string(rng.NextBounded(100)));
+        }
+        ASSERT_TRUE(store->Write(batch).ok());
+        ASSERT_TRUE(oracle.Write(batch).ok());
+      } else if (dice < 60) {
+        const std::string key = random_key();
+        ASSERT_TRUE(store->Delete(key).ok());
+        ASSERT_TRUE(oracle.Delete(key).ok());
+      } else if (dice < 80) {
+        const std::string key = random_key();
+        std::string got;
+        const Status s = store->Get(key, &got);
+        check(key, s, got);
+      } else {
+        std::vector<std::string> keys(1 + rng.NextBounded(8));
+        for (std::string& key : keys) {
+          key = random_key();
+        }
+        std::vector<std::string> values;
+        std::vector<Status> statuses;
+        ASSERT_TRUE(store->MultiGet(keys, &values, &statuses).ok());
+        for (size_t j = 0; j < keys.size(); ++j) {
+          check(keys[j], statuses[j], values[j]);
+        }
+      }
+    }
+    ASSERT_TRUE(btree->CheckInvariants().ok()) << "phase " << phase;
+    if (pool_pages == 0) {
+      EXPECT_EQ(pool->overshoots(), 0u);
+      EXPECT_EQ(store->stats().flushes, 0u);  // nothing written back before Flush
+    } else {
+      EXPECT_GT(pool->overshoots(), 0u);
+      EXPECT_GT(store->stats().flushes, 0u);  // pressure write-back ran
+    }
+    ASSERT_TRUE(store->Flush().ok());
+    ASSERT_TRUE(btree->CheckInvariants().ok()) << "phase " << phase;
+    check_all(store);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto store = BTreeStore::Open(dir.path(), opts, std::make_shared<BufferPool>(popts));
+  ASSERT_TRUE(store.ok());
+  check_all(store->get());
+  ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, BTreePoolOracleTest, ::testing::Values(0, 8, 2),
+                         [](const auto& spec) {
+                           return spec.param == 0 ? std::string("fits")
+                                                  : std::to_string(spec.param) + "pages";
+                         });
+
 // ---------------------------------------------------------- concurrency
 
 TEST(StoreConcurrencyTest, TwoThreadsDisjointKeys) {
