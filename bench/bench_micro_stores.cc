@@ -457,16 +457,15 @@ bool RunColdReadLeg(std::vector<bench::BenchRun>* runs) {
 
 // Replays the synthetic trace over the wire against a loopback store server
 // with 1 and then 4 IO threads, labeled "wire/lsm/ioT1" / "wire/lsm/ioT4" —
-// the loaded-vs-report comparison for the multi-reactor network path. The
-// single-machine caveat applies doubly here: client threads, reactors, and
-// shard workers all share this host's cores, so treat the ioT4/ioT1 ratio as
-// a smoke signal locally and as the real scaling probe only on multi-core CI.
+// the loaded-vs-report comparison for the multi-reactor network path. Client
+// threads and reactors (which run the store calls themselves) share this
+// host's cores, so the ioT4/ioT1 ratio is a scaling probe only when there
+// are cores to spare.
 bool RunWireLeg(std::vector<bench::BenchRun>* runs) {
   const uint64_t ops = bench::OpsBudget();
   const std::vector<StateAccess> trace = JsonReplayTrace(ops);
   bench::PrintHeader("wire replay (loopback loadgen vs store server, lsm)");
-  std::printf("%8s %14s %14s %14s %10s\n", "ioT", "kops/s", "writev_calls", "frames/wv max",
-              "io_uring");
+  std::printf("%8s %14s %14s %14s\n", "ioT", "kops/s", "writev_calls", "frames/wv max");
   for (int io_threads : {1, 4}) {
     ScopedTempDir dir("bench-micro-wire");
     wire::ServerOptions sopts;
@@ -503,11 +502,10 @@ bool RunWireLeg(std::vector<bench::BenchRun>* runs) {
     run.engine = "lsm";
     run.result = result->replay;
     run.stats = (*server)->shard_set()->MergedStats();
-    std::printf("%8d %14.1f %14llu %14llu %10s\n", io_threads,
+    std::printf("%8d %14.1f %14llu %14llu\n", io_threads,
                 result->replay.throughput_ops_per_sec / 1e3,
                 static_cast<unsigned long long>(net.writev_calls),
-                static_cast<unsigned long long>(net.frames_per_writev_max),
-                net.io_uring_active ? "yes" : "no");
+                static_cast<unsigned long long>(net.frames_per_writev_max));
     runs->push_back(std::move(run));
     (*server)->Stop();
   }

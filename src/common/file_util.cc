@@ -128,28 +128,47 @@ StatusOr<std::unique_ptr<RandomAccessFile>> RandomAccessFile::Open(const std::st
 
 Status RandomAccessFile::Read(uint64_t offset, size_t n, std::string* out) const {
   out->resize(n);
-  char* p = out->data();
-  size_t left = n;
-  uint64_t off = offset;
-  while (left > 0) {
-    ssize_t r = ::pread(fd_, p, left, static_cast<off_t>(off));
+  const Status s = PreadAll(fd_, out->data(), n, offset);
+  return s.ok() ? s : Status::IoError(s.message() + " in " + path_);
+}
+
+// ------------------------------------------------------------- free functions
+
+Status PreadAll(int fd, char* data, size_t n, uint64_t offset) {
+  const uint64_t start = offset;
+  while (n > 0) {
+    const ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
     if (r < 0) {
       if (errno == EINTR) {
         continue;
       }
-      return ErrnoStatus("pread " + path_);
+      return ErrnoStatus("pread");
     }
     if (r == 0) {
-      return Status::IoError("short read at offset " + std::to_string(offset) + " in " + path_);
+      return Status::IoError("short read at offset " + std::to_string(start));
     }
-    p += r;
-    off += static_cast<uint64_t>(r);
-    left -= static_cast<size_t>(r);
+    data += r;
+    offset += static_cast<uint64_t>(r);
+    n -= static_cast<size_t>(r);
   }
   return Status::Ok();
 }
 
-// ------------------------------------------------------------- free functions
+Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset) {
+  while (n > 0) {
+    const ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (w < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return ErrnoStatus("pwrite");
+    }
+    data += w;
+    offset += static_cast<uint64_t>(w);
+    n -= static_cast<size_t>(w);
+  }
+  return Status::Ok();
+}
 
 Status WriteStringToFile(const std::string& path, std::string_view data, bool sync) {
   auto file = WritableFile::Create(path);

@@ -1,6 +1,7 @@
 // RAII file and filesystem helpers shared by the persistent stores and trace
-// writers: buffered sequential writers/readers, random-access readers, atomic
-// renames, and scoped temp directories for tests/benches.
+// writers: buffered sequential writers/readers, random-access readers,
+// positional reads and writes, atomic renames, and scoped temp directories
+// for tests/benches.
 #ifndef GADGET_COMMON_FILE_UTIL_H_
 #define GADGET_COMMON_FILE_UTIL_H_
 
@@ -69,6 +70,12 @@ class RandomAccessFile {
   int fd_;
   uint64_t size_;
 };
+
+// Positional I/O on a raw descriptor, the tree's one pread and one pwrite
+// loop: each transfers exactly `n` bytes at `offset`, retrying EINTR and
+// short transfers. A read that reaches end of file first fails.
+Status PreadAll(int fd, char* data, size_t n, uint64_t offset);
+Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset);
 
 // Whole-file helpers.
 Status WriteStringToFile(const std::string& path, std::string_view data, bool sync = false);

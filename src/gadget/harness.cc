@@ -90,22 +90,13 @@ StoreOptions StoreOptionsFrom(const Config& config, std::string dir) {
   StoreOptions opts;
   opts.engine = config.GetString("store", "lsm");
   opts.dir = std::move(dir);
-  // Shared buffer pool sizing (LSM/Lethe blocks + btree pages).
-  // store_cache_bytes is the pre-pool key, kept as an alias so existing
-  // configs keep sizing the read cache; 0 keeps the BufferPoolOptions default.
-  uint64_t pool_bytes = config.GetUint("buffer_pool_bytes", 0);
-  if (pool_bytes == 0) {
-    pool_bytes = config.GetUint("store_cache_bytes", 0);
-  }
-  if (pool_bytes != 0) {
+  // Shared buffer pool sizing (LSM/Lethe blocks + btree pages); 0 keeps the
+  // BufferPoolOptions default.
+  if (const uint64_t pool_bytes = config.GetUint("buffer_pool_bytes", 0); pool_bytes != 0) {
     opts.buffer_pool.capacity_bytes = pool_bytes;
   }
   opts.buffer_pool.shards =
       static_cast<uint32_t>(config.GetUint("buffer_pool_shards", opts.buffer_pool.shards));
-  if (config.GetString("buffer_pool_eviction", "clock") == "2q") {
-    opts.buffer_pool.eviction = BufferPoolOptions::Eviction::kTwoQueue;
-  }
-  opts.buffer_pool.use_io_uring = config.GetBool("use_io_uring", true);
   opts.log_memory_bytes = config.GetUint("store_log_memory_bytes", 0);
   opts.mem_stripes = config.GetUint("store_stripes", 0);
   opts.sync_writes = config.GetBool("sync_writes");

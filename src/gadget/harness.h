@@ -24,11 +24,7 @@
 //   store_dir        storage directory (temp dir if empty)
 //   buffer_pool_bytes shared buffer pool capacity (LSM/Lethe blocks
 //                    + btree pages), 0 = pool default              (0)
-//   store_cache_bytes legacy alias for buffer_pool_bytes           (0)
 //   buffer_pool_shards pool shard count                            (8)
-//   buffer_pool_eviction clock | 2q                                (clock)
-//   use_io_uring     probe io_uring for batched block reads,
-//                    thread-pool pread fallback either way         (true)
 //   store_log_memory_bytes FASTER in-memory log window, 0 =
 //                    engine default                                (0)
 //   fill_cache       admit replay read misses to the pool (the

@@ -20,7 +20,6 @@
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
 #include "src/server/net/socket.h"
-#include "src/server/net/uring_socket.h"
 #include "src/server/wire.h"
 
 namespace gadget {
@@ -292,18 +291,14 @@ uint64_t Burst::Finish(std::string* out) {
   return frames;
 }
 
-// One reactor: a private epoll set, its connections, a wake eventfd doubling
-// as the accepted-fd handoff doorbell, and (optionally) an io_uring ring.
+// One reactor: a private epoll set, its connections, and a wake eventfd
+// doubling as the accepted-fd handoff doorbell.
 struct IoThread {
   int epoll_fd = -1;
   int wake_fd = -1;
   std::unordered_map<int, std::unique_ptr<Conn>> conns;  // owner thread only
   Mutex in_mu;
   std::vector<int> incoming GUARDED_BY(in_mu);  // accepted fds awaiting adoption
-  // Created before the thread starts, never reassigned after: concurrent
-  // snapshot reads of the pointer are safe, and the ring itself is only
-  // driven by the owner thread.
-  std::unique_ptr<net::UringSocket> uring;
   std::atomic<uint64_t> ops{0};  // frames decoded by this reactor
 
   ~IoThread() {
@@ -334,10 +329,9 @@ struct Server::Impl {
   void AcceptAll(IoThread& t0);
   void AdoptConn(IoThread& t, int fd);
   void AdoptIncoming(IoThread& t);
-  // Receives everything currently buffered on each readable connection —
-  // through one io_uring wave per round when the reactor has a ring, plain
-  // recv otherwise. dead[i] is set on EOF / receive error.
-  void ReadBatch(IoThread& t, const std::vector<Conn*>& ready, std::vector<char>* dead);
+  // Receives everything currently buffered on `c`. Returns false on EOF or
+  // a receive error; the bytes that did arrive stay buffered.
+  bool Receive(Conn& c);
   // Decodes every complete frame buffered on `c`, runs them, and sends their
   // responses as one burst. Returns false when the connection must close:
   // a protocol error (the fatal ERROR frame goes out last) or a dead peer.
@@ -429,8 +423,6 @@ void Server::Impl::IoLoop(size_t tid) {
   IoThread& t = *io[tid];
   Burst burst(shards);
   epoll_event events[64];
-  std::vector<Conn*> readable;
-  std::vector<char> dead;
   while (!stopping.load(std::memory_order_relaxed)) {
     const int n = ::epoll_wait(t.epoll_fd, events, 64, -1);
     if (n < 0) {
@@ -440,7 +432,6 @@ void Server::Impl::IoLoop(size_t tid) {
       GADGET_LOG(Error) << "epoll_wait: " << std::strerror(errno);
       break;
     }
-    readable.clear();
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == t.wake_fd) {
@@ -468,15 +459,10 @@ void Server::Impl::IoLoop(size_t tid) {
         continue;
       }
       if ((ev & EPOLLIN) != 0) {
-        readable.push_back(it->second.get());
-      }
-    }
-    if (!readable.empty()) {
-      dead.assign(readable.size(), 0);
-      ReadBatch(t, readable, &dead);
-      for (size_t i = 0; i < readable.size(); ++i) {
-        if (!DecodeBurst(t, burst, *readable[i]) || dead[i] != 0) {
-          DropConn(t, readable[i]->fd);
+        Conn& c = *it->second;
+        const bool alive = Receive(c);  // process what arrived before EOF
+        if (!DecodeBurst(t, burst, c) || !alive) {
+          DropConn(t, fd);
         }
       }
     }
@@ -484,62 +470,21 @@ void Server::Impl::IoLoop(size_t tid) {
   t.conns.clear();  // closes every connection this reactor owns
 }
 
-void Server::Impl::ReadBatch(IoThread& t, const std::vector<Conn*>& ready,
-                             std::vector<char>* dead) {
-  if (t.uring != nullptr) {
-    // Wave loop: every still-active connection gets one IORING_OP_RECV per
-    // round, submitted together. A full chunk means the socket may hold
-    // more, so it rides the next wave; a short chunk means it is drained.
-    std::vector<size_t> active(ready.size());
-    for (size_t i = 0; i < ready.size(); ++i) {
-      active[i] = i;
+bool Server::Impl::Receive(Conn& c) {
+  for (;;) {
+    std::string error;
+    const int n = net::RecvChunk(c.fd, &c.in, kRecvChunk, &error);
+    if (n > 0) {
+      net.bytes_in.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+      if (static_cast<size_t>(n) < kRecvChunk) {
+        // A short chunk took everything the socket held. Skip the recv that
+        // would only return EAGAIN: level-triggered epoll reports any later
+        // bytes, and EOF, at the next wake.
+        return true;
+      }
+      continue;
     }
-    std::vector<net::UringSocket::RecvOp> ops;
-    std::vector<net::UringSocket::RecvOp*> op_ptrs;
-    while (!active.empty()) {
-      ops.assign(active.size(), net::UringSocket::RecvOp{});
-      op_ptrs.clear();
-      for (size_t j = 0; j < active.size(); ++j) {
-        Conn& c = *ready[active[j]];
-        ops[j].fd = c.fd;
-        ops[j].buf = &c.in;
-        ops[j].cap = kRecvChunk;
-        op_ptrs.push_back(&ops[j]);
-      }
-      if (!t.uring->RecvBatch(op_ptrs)) {
-        break;  // ring unusable; level-triggered epoll re-reports next wake
-      }
-      std::vector<size_t> next;
-      for (size_t j = 0; j < active.size(); ++j) {
-        const net::UringSocket::RecvOp& op = ops[j];
-        if (op.result > 0) {
-          net.bytes_in.fetch_add(static_cast<uint64_t>(op.result),
-                                 std::memory_order_relaxed);
-          if (static_cast<size_t>(op.result) == op.cap) {
-            next.push_back(active[j]);
-          }
-        } else if (op.result != -1) {
-          (*dead)[active[j]] = 1;  // orderly EOF or hard error
-        }
-      }
-      active.swap(next);
-    }
-    return;
-  }
-  for (size_t i = 0; i < ready.size(); ++i) {
-    for (;;) {
-      std::string error;
-      const int n = net::RecvChunk(ready[i]->fd, &ready[i]->in, kRecvChunk, &error);
-      if (n > 0) {
-        net.bytes_in.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-        continue;  // drain until EAGAIN so level-triggered epoll stays quiet
-      }
-      if (n == -1) {
-        break;  // no more buffered bytes
-      }
-      (*dead)[i] = 1;  // orderly EOF or hard error: process what we have
-      break;
-    }
+    return n == -1;  // -1: no more buffered bytes; else EOF or hard error
   }
 }
 
@@ -602,8 +547,7 @@ bool Server::Impl::Drain(IoThread& t, Conn& c) {
       ++cnt;
     }
     std::string error;
-    const ssize_t n = t.uring != nullptr ? t.uring->Writev(c.fd, iov, cnt, &error)
-                                         : net::WritevNonBlocking(c.fd, iov, cnt, &error);
+    const ssize_t n = net::WritevNonBlocking(c.fd, iov, cnt, &error);
     if (n == -1) {
       break;  // socket buffer full: EPOLLOUT resumes the drain
     }
@@ -674,11 +618,6 @@ NetStats Server::Impl::SnapshotNet() const {
   s.thread_ops.reserve(io.size());
   for (const auto& t : io) {
     s.thread_ops.push_back(t->ops.load(std::memory_order_relaxed));
-    if (t->uring != nullptr) {
-      s.io_uring_active = true;
-      s.uring_enters += t->uring->enters();
-      s.uring_sqes += t->uring->ops_submitted();
-    }
   }
   return s;
 }
@@ -687,8 +626,6 @@ JsonValue Server::Impl::NetJson() const {
   const NetStats s = SnapshotNet();
   JsonValue net_doc = JsonValue::MakeObject();
   net_doc.Set("io_threads", static_cast<uint64_t>(io.size()));
-  net_doc.Set("io_uring_requested", options.use_io_uring);
-  net_doc.Set("io_uring_active", s.io_uring_active);
   net_doc.Set("bytes_in", s.bytes_in);
   net_doc.Set("bytes_out", s.bytes_out);
   net_doc.Set("writev_calls", s.writev_calls);
@@ -696,8 +633,6 @@ JsonValue Server::Impl::NetJson() const {
   net_doc.Set("output_queue_stall_micros", s.output_queue_stall_micros);
   net_doc.Set("output_queue_bytes_max", s.output_queue_bytes_max);
   net_doc.Set("conns_accepted", s.conns_accepted);
-  net_doc.Set("uring_enters", s.uring_enters);
-  net_doc.Set("uring_sqes", s.uring_sqes);
   JsonValue thread_ops = JsonValue::MakeArray();
   for (uint64_t v : s.thread_ops) {
     thread_ops.Append(v);
@@ -742,13 +677,6 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
         (i == 0 && !Watch(t->epoll_fd, impl->listen_fd))) {
       return Status::IoError("epoll/eventfd setup failed");
     }
-    if (options.use_io_uring) {
-      auto ring = std::make_unique<net::UringSocket>();
-      if (ring->available()) {
-        t->uring = std::move(ring);
-      }
-      // else: the probe said no (old kernel, seccomp) — epoll silently.
-    }
     impl->io.push_back(std::move(t));
   }
 
@@ -766,14 +694,9 @@ StatusOr<std::unique_ptr<Server>> Server::Start(const ServerOptions& options) {
   for (int i = 0; i < nio; ++i) {
     server->io_threads_.emplace_back([raw, i] { raw->IoLoop(static_cast<size_t>(i)); });
   }
-  bool uring_live = false;
-  for (const auto& t : raw->io) {
-    uring_live = uring_live || t->uring != nullptr;
-  }
   GADGET_LOG(Info) << "gadget serve: " << options.shards << " shard(s) of "
                    << options.store.engine << " on 127.0.0.1:" << server->port_ << ", " << nio
-                   << " IO thread(s), "
-                   << (uring_live ? "io_uring" : (options.use_io_uring ? "epoll (io_uring unavailable)" : "epoll"));
+                   << " IO thread(s)";
   return server;
 }
 

@@ -5,9 +5,8 @@
 //   * `io_threads` REACTOR threads, each owning a private epoll set and the
 //     connections assigned to it. Accepted connections are sharded
 //     round-robin across reactors (thread 0 also owns the listen socket) and
-//     never migrate. With `use_io_uring`, a reactor drains all of a wake's
-//     readable sockets through one io_uring submission wave instead of one
-//     recv() per socket (silent epoll fallback when the kernel lacks it).
+//     never migrate. Sockets are non-blocking and level-triggered; a reactor
+//     recv()s each readable one until a read comes back short.
 //   * A reactor decodes every complete frame a wake brought in on one
 //     connection and runs that burst to completion: it groups the burst's ops
 //     per shard into WriteBatch / MultiGet calls (same read-your-writes
@@ -58,10 +57,6 @@ struct ServerOptions {
   // Reactor count. 0 = min(4, hardware threads). Connections are assigned
   // round-robin at accept and never migrate.
   int io_threads = 0;
-  // Submit socket receives/sends on the reactors through io_uring when the
-  // kernel supports it (raw syscalls, probed at startup). A request, not a
-  // requirement: unsupported kernels fall back to plain epoll silently.
-  bool use_io_uring = false;
   // Max bytes of queued responses per connection before the reactor stops
   // reading it (the backpressure knob). A burst's responses are queued whole,
   // so the queue may overshoot by one burst.
@@ -84,9 +79,6 @@ struct NetStats {
   uint64_t output_queue_stall_micros = 0;
   uint64_t output_queue_bytes_max = 0;
   uint64_t conns_accepted = 0;
-  bool io_uring_active = false;  // probe succeeded on at least one reactor
-  uint64_t uring_enters = 0;     // io_uring_enter syscalls across reactors
-  uint64_t uring_sqes = 0;       // socket ops submitted through rings
   std::vector<uint64_t> thread_ops;  // frames decoded, per IO thread
 };
 

@@ -62,7 +62,7 @@ Status WriteLoadgenReport(const std::string& path, const Config& config,
     server.Set("per_shard", *per_shard);
   }
   // The server's network-layer counters (io thread count, writev coalescing,
-  // output-queue stalls, io_uring use) ride along inside its STATS document;
+  // output-queue stalls) ride along inside its STATS document;
   // report_check --require_server validates their presence and shape.
   if (const JsonValue* net = server_stats->Get("net")) {
     server.Set("net", *net);
@@ -82,7 +82,6 @@ Status ServeMain(const Config& config, std::ostream& out) {
   opts.port = static_cast<uint16_t>(config.GetUint("port", 0));
   opts.shards = static_cast<int>(config.GetUint("shards", 4));
   opts.io_threads = static_cast<int>(config.GetUint("io_threads", 0));
-  opts.use_io_uring = config.GetUint("use_io_uring", 0) != 0;
   opts.conn_outq_limit = config.GetUint("conn_outq_limit", opts.conn_outq_limit);
 
   std::string dir = config.GetString("store_dir");
@@ -98,8 +97,7 @@ Status ServeMain(const Config& config, std::ostream& out) {
     return server.status();
   }
   out << "serving " << opts.store.engine << " on 127.0.0.1:" << (*server)->port() << " with "
-      << opts.shards << " shards, " << (*server)->io_threads() << " IO threads"
-      << ((*server)->net_stats().io_uring_active ? " (io_uring)" : "") << " (dir " << dir
+      << opts.shards << " shards, " << (*server)->io_threads() << " IO threads (dir " << dir
       << ")\n";
   out.flush();
   const std::string port_file = config.GetString("port_file");

@@ -8,7 +8,6 @@
 //   port              listen port, 0 = kernel-assigned            (0)
 //   shards            engine shards behind the router             (4)
 //   io_threads        reactor threads, 0 = min(4, hw threads)     (0)
-//   use_io_uring      socket I/O through io_uring when available  (0)
 //   conn_outq_limit   queued response bytes per connection before
 //                     its reads pause                             (4194304)
 //   port_file         write the bound port here once listening

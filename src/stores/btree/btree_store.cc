@@ -19,41 +19,6 @@ constexpr uint8_t kInternalType = 2;
 
 std::string TreePath(const std::string& dir) { return dir + "/btree.db"; }
 
-Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pwrite: ") + std::strerror(errno));
-    }
-    data += w;
-    offset += static_cast<uint64_t>(w);
-    n -= static_cast<size_t>(w);
-  }
-  return Status::Ok();
-}
-
-Status PreadAll(int fd, char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (r == 0) {
-      return Status::IoError("short pread from btree file");
-    }
-    data += r;
-    offset += static_cast<uint64_t>(r);
-    n -= static_cast<size_t>(r);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 size_t BTreeStore::Node::EntryBytes(size_t i) const {

@@ -49,15 +49,13 @@ void PinnedBlock::Release() {
 // --- BufferPool -------------------------------------------------------------
 
 BufferPool::BufferPool(const BufferPoolOptions& options)
-    : options_(options),
-      capacity_(options.capacity_bytes),
-      shards_(RoundUpPow2(options.shards < 1 ? 1 : static_cast<size_t>(options.shards))),
-      io_(options.io_threads, options.use_io_uring) {
+    : capacity_(options.capacity_bytes),
+      shards_(RoundUpPow2(options.shards < 1 ? 1 : static_cast<size_t>(options.shards))) {
   shard_mask_ = shards_.size() - 1;
   capacity_per_shard_ = capacity_ / shards_.size();
   for (Shard& s : shards_) {
     MutexLock lock(&s.mu);
-    s.hand = s.cold.end();
+    s.hand = s.ring.end();
   }
 }
 
@@ -76,7 +74,7 @@ PinnedBlock BufferPool::Lookup(uint64_t file_id, uint64_t offset) {
   pins_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<Frame> f = it->second;
   ++f->pins;
-  TouchLocked(s, f);
+  f->referenced = true;
   return PinnedBlock(this, shard_index, std::move(f));
 }
 
@@ -99,7 +97,7 @@ PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
     }
     pins_.fetch_add(1, std::memory_order_relaxed);
     ++f->pins;
-    TouchLocked(s, f);
+    f->referenced = true;
     return PinnedBlock(this, shard_index, std::move(f));
   }
   if (!EvictForLocked(s, charge)) {
@@ -112,9 +110,9 @@ PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
   f->object = std::move(object);
   f->charge = charge;
   f->pins = 1;
-  s.cold.push_back(f);
-  f->pos = std::prev(s.cold.end());
-  if (s.hand == s.cold.end()) {
+  s.ring.push_back(f);
+  f->pos = std::prev(s.ring.end());
+  if (s.hand == s.ring.end()) {
     s.hand = f->pos;
   }
   s.map.emplace(Key{file_id, offset}, f);
@@ -129,78 +127,38 @@ PinnedBlock BufferPool::InsertBlock(uint64_t file_id, uint64_t offset, std::stri
   return Insert(file_id, offset, std::move(data), nullptr, charge);
 }
 
-void BufferPool::TouchLocked(Shard& s, const std::shared_ptr<Frame>& f) {
-  if (options_.eviction == BufferPoolOptions::Eviction::kClock) {
-    f->referenced = true;
-    return;
-  }
-  // 2Q: first re-reference promotes out of probation; later ones refresh LRU.
-  if (!f->hot) {
-    if (s.hand == f->pos) {
-      s.hand = std::next(s.hand);
-    }
-    s.hot.splice(s.hot.begin(), s.cold, f->pos);
-    f->hot = true;
-  } else {
-    s.hot.splice(s.hot.begin(), s.hot, f->pos);
-  }
-  f->pos = s.hot.begin();
-}
-
 void BufferPool::RemoveFrameLocked(Shard& s, const std::shared_ptr<Frame>& f) {
   s.map.erase(Key{f->file, f->offset});
   s.bytes -= f->charge;
-  if (f->hot) {
-    s.hot.erase(f->pos);
-  } else {
-    if (s.hand == f->pos) {
-      s.hand = std::next(s.hand);
-    }
-    s.cold.erase(f->pos);
+  if (s.hand == f->pos) {
+    s.hand = std::next(s.hand);
   }
+  s.ring.erase(f->pos);
 }
 
 bool BufferPool::EvictForLocked(Shard& s, size_t incoming_charge) {
   while (s.bytes + incoming_charge > capacity_per_shard_ && s.bytes > 0) {
+    // Second-chance sweep: clear referenced bits, skip pinned frames, give
+    // up after two full revolutions (everything pinned or referenced by a
+    // racing pin).
     Frame* victim = nullptr;
-    if (options_.eviction == BufferPoolOptions::Eviction::kClock) {
-      // Second-chance sweep: clear referenced bits, skip pinned frames, give
-      // up after two full revolutions (everything pinned or referenced by a
-      // racing pin).
-      size_t steps = 2 * s.cold.size();
-      while (steps-- > 0) {
-        if (s.hand == s.cold.end()) {
-          s.hand = s.cold.begin();
-          if (s.hand == s.cold.end()) {
-            break;
-          }
-        }
-        Frame* f = s.hand->get();
-        if (f->pins > 0) {
-          ++s.hand;
-        } else if (f->referenced) {
-          f->referenced = false;
-          ++s.hand;
-        } else {
-          victim = f;
+    size_t steps = 2 * s.ring.size();
+    while (steps-- > 0) {
+      if (s.hand == s.ring.end()) {
+        s.hand = s.ring.begin();
+        if (s.hand == s.ring.end()) {
           break;
         }
       }
-    } else {
-      // 2Q: drain probation FIFO first, then the protected LRU tail.
-      for (auto it = s.cold.begin(); it != s.cold.end(); ++it) {
-        if ((*it)->pins == 0) {
-          victim = it->get();
-          break;
-        }
-      }
-      if (victim == nullptr) {
-        for (auto it = s.hot.rbegin(); it != s.hot.rend(); ++it) {
-          if ((*it)->pins == 0) {
-            victim = it->get();
-            break;
-          }
-        }
+      Frame* f = s.hand->get();
+      if (f->pins > 0) {
+        ++s.hand;
+      } else if (f->referenced) {
+        f->referenced = false;
+        ++s.hand;
+      } else {
+        victim = f;
+        break;
       }
     }
     if (victim == nullptr) {

@@ -18,8 +18,7 @@
 //     dirty pages) to release them, and the shard gives the excess back as
 //     those pins drop.
 //
-// Eviction is per shard: clock (second chance) by default, or 2Q (FIFO
-// probation + LRU protected) via BufferPoolOptions::eviction.
+// Eviction is per shard, by clock (second chance).
 #ifndef GADGET_STORES_BUFFERPOOL_BUFFER_POOL_H_
 #define GADGET_STORES_BUFFERPOOL_BUFFER_POOL_H_
 
@@ -41,11 +40,6 @@ struct BufferPoolOptions {
   uint64_t capacity_bytes = 32ull << 20;
   // Number of independently locked shards (rounded up to a power of two).
   int shards = 8;
-  enum class Eviction { kClock, kTwoQueue };
-  Eviction eviction = Eviction::kClock;
-  // Width of the pread worker pool behind IoBackend (io_uring parks it).
-  int io_threads = 2;
-  bool use_io_uring = true;
 };
 
 class BufferPool;
@@ -62,9 +56,8 @@ struct Frame {
   size_t charge = 0;
   uint32_t pins = 0;
   bool referenced = false;  // clock second-chance bit
-  bool hot = false;         // 2Q: lives on the protected list
   bool doomed = false;      // erased while pinned; already off the table
-  std::list<std::shared_ptr<Frame>>::iterator pos;  // position in its list
+  std::list<std::shared_ptr<Frame>>::iterator pos;  // position in the clock ring
 };
 }  // namespace bufferpool_internal
 
@@ -163,11 +156,7 @@ class BufferPool {
   struct Shard {
     mutable Mutex mu;
     std::unordered_map<Key, std::shared_ptr<Frame>, KeyHash> map GUARDED_BY(mu);
-    // kClock: `cold` is the clock ring (hand included), `hot` unused.
-    // kTwoQueue: `cold` is the FIFO probation queue, `hot` the LRU protected
-    // list (front = most recent).
-    std::list<std::shared_ptr<Frame>> cold GUARDED_BY(mu);
-    std::list<std::shared_ptr<Frame>> hot GUARDED_BY(mu);
+    std::list<std::shared_ptr<Frame>> ring GUARDED_BY(mu);  // the clock
     std::list<std::shared_ptr<Frame>>::iterator hand GUARDED_BY(mu);
     uint64_t bytes GUARDED_BY(mu) = 0;
   };
@@ -175,14 +164,12 @@ class BufferPool {
   Shard& ShardFor(uint64_t file_id, uint64_t offset) {
     return shards_[KeyHash{}(Key{file_id, offset}) & shard_mask_];
   }
-  void TouchLocked(Shard& s, const std::shared_ptr<Frame>& f) REQUIRES(s.mu);
   // Evicts unpinned frames until `incoming_charge` fits; false when every
   // remaining frame is pinned and it does not.
   bool EvictForLocked(Shard& s, size_t incoming_charge) REQUIRES(s.mu);
   void RemoveFrameLocked(Shard& s, const std::shared_ptr<Frame>& f) REQUIRES(s.mu);
   void Unpin(size_t shard_index, Frame* frame);
 
-  const BufferPoolOptions options_;
   const uint64_t capacity_;
   uint64_t capacity_per_shard_;
   size_t shard_mask_;

@@ -5,6 +5,8 @@
 
 #include <unistd.h>
 
+#include "src/common/file_util.h"
+
 #if defined(__linux__) && __has_include(<linux/io_uring.h>)
 #include <linux/io_uring.h>
 #include <sys/mman.h>
@@ -17,29 +19,14 @@
 namespace gadget {
 namespace {
 
-// Full positional read with short-read detection; block reads always know
-// their exact length, so a short read is corruption, not EOF handling.
-Status PreadFully(IoRead* r) {
+// Width of the pread fallback.
+constexpr int kPreadWorkers = 2;
+
+// Block reads always know their exact length, so a short read is
+// corruption, not EOF handling.
+Status ReadWhole(IoRead* r) {
   r->out.resize(r->length);
-  char* p = r->out.data();
-  size_t left = r->length;
-  uint64_t off = r->offset;
-  while (left > 0) {
-    ssize_t n = ::pread(r->fd, p, left, static_cast<off_t>(off));
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      return Status::IoError("short read");
-    }
-    p += n;
-    left -= static_cast<size_t>(n);
-    off += static_cast<uint64_t>(n);
-  }
-  return Status::Ok();
+  return PreadAll(r->fd, r->out.data(), r->length, r->offset);
 }
 
 #ifdef GADGET_HAVE_IO_URING
@@ -49,7 +36,7 @@ void StoreRelease(unsigned* p, unsigned v) { __atomic_store_n(p, v, __ATOMIC_REL
 
 }  // namespace
 
-IoBackend::IoBackend(int threads, bool try_io_uring) : work_cv_(&mu_), done_cv_(&mu_) {
+IoBackend::IoBackend(bool try_io_uring) : work_cv_(&mu_), done_cv_(&mu_) {
 #ifdef GADGET_HAVE_IO_URING
   if (try_io_uring) {
     // Runtime probe: a kernel too old for IORING_OP_READ (< 5.6) or a seccomp
@@ -103,9 +90,8 @@ IoBackend::IoBackend(int threads, bool try_io_uring) : work_cv_(&mu_), done_cv_(
   (void)try_io_uring;
 #endif
   if (ring_fd_ < 0) {
-    int n = threads < 1 ? 1 : threads;
-    workers_.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
+    workers_.reserve(kPreadWorkers);
+    for (int i = 0; i < kPreadWorkers; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
@@ -145,7 +131,7 @@ void IoBackend::ReadBatch(const std::vector<IoRead*>& reads) {
   NoteBatch(reads.size());
   if (reads.size() == 1) {
     // A one-read wave gains nothing from submission machinery.
-    reads[0]->status = PreadFully(reads[0]);
+    reads[0]->status = ReadWhole(reads[0]);
     return;
   }
 #ifdef GADGET_HAVE_IO_URING
@@ -187,7 +173,7 @@ void IoBackend::WorkerLoop() {
       item = queue_.front();
       queue_.pop_front();
     }
-    item.read->status = PreadFully(item.read);
+    item.read->status = ReadWhole(item.read);
     {
       MutexLock lock(&mu_);
       --item.batch->remaining;
@@ -252,14 +238,8 @@ void IoBackend::ReadBatchUring(const std::vector<IoRead*>& reads) {
       } else if (static_cast<uint32_t>(cqe->res) != r->length) {
         // Kernel reads can legally come back short; finish the tail with a
         // plain pread rather than resubmitting through the ring.
-        IoRead tail_read;
-        tail_read.fd = r->fd;
-        tail_read.offset = r->offset + static_cast<uint64_t>(cqe->res);
-        tail_read.length = r->length - static_cast<uint32_t>(cqe->res);
-        r->status = PreadFully(&tail_read);
-        if (r->status.ok()) {
-          r->out.replace(static_cast<size_t>(cqe->res), tail_read.out.size(), tail_read.out);
-        }
+        const auto got = static_cast<uint32_t>(cqe->res);
+        r->status = PreadAll(r->fd, r->out.data() + got, r->length - got, r->offset + got);
       } else {
         r->status = Status::Ok();
       }

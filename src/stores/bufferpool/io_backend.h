@@ -2,13 +2,13 @@
 // (fd, offset, length) reads and block until every one has completed, turning
 // N cache misses into one I/O wave instead of N serial preads.
 //
-// Two implementations behind one interface, chosen at construction:
+// One path per host, chosen by a runtime probe at construction:
 //   io_uring   one submission syscall per wave (raw io_uring_setup/enter —
 //              no liburing dependency). Compiled in when <linux/io_uring.h>
-//              exists and probed at runtime; a kernel or seccomp refusal
-//              falls back silently.
-//   threads    a small persistent pool of pread workers. Portable fallback;
-//              also what single-read fast paths use.
+//              exists.
+//   threads    two persistent pread workers: the fallback when the kernel
+//              or a seccomp profile refuses io_uring_setup.
+// A one-read wave skips both and preads on the caller's thread.
 //
 // The backend is intentionally synchronous at the batch level (submit, wait,
 // return): the read path needs all blocks of a wave before it can resolve
@@ -42,10 +42,10 @@ struct IoRead {
 
 class IoBackend {
  public:
-  // `threads` sizes the pread worker pool (clamped to >= 1); when
-  // `try_io_uring` is set and the kernel cooperates, waves go through a ring
-  // instead and the workers stay parked.
-  explicit IoBackend(int threads = 2, bool try_io_uring = true);
+  // Probes io_uring and serves waves through a ring when the kernel allows
+  // it, through the pread workers otherwise. `try_io_uring = false` skips the
+  // probe, which is how tests reach the fallback on an io_uring host.
+  explicit IoBackend(bool try_io_uring = true);
   ~IoBackend();
   IoBackend(const IoBackend&) = delete;
   IoBackend& operator=(const IoBackend&) = delete;

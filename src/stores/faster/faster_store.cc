@@ -17,41 +17,6 @@ constexpr size_t kRecordHeader = 4 + 1 + 4 + 4;  // total | type | klen | vlen
 
 std::string LogPath(const std::string& dir) { return dir + "/hybrid.log"; }
 
-Status Pwrite(int fd, const char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
-    if (w < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pwrite: ") + std::strerror(errno));
-    }
-    data += w;
-    offset += static_cast<uint64_t>(w);
-    n -= static_cast<size_t>(w);
-  }
-  return Status::Ok();
-}
-
-Status Pread(int fd, char* data, size_t n, uint64_t offset) {
-  while (n > 0) {
-    ssize_t r = ::pread(fd, data, n, static_cast<off_t>(offset));
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return Status::IoError(std::string("pread: ") + std::strerror(errno));
-    }
-    if (r == 0) {
-      return Status::IoError("short pread from hybrid log");
-    }
-    data += r;
-    offset += static_cast<uint64_t>(r);
-    n -= static_cast<size_t>(r);
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 FasterStore::FasterStore(std::string dir, const FasterOptions& opts)
@@ -87,7 +52,7 @@ Status FasterStore::Recover() {
   std::string header(kRecordHeader, '\0');
   std::string key;
   while (addr + kRecordHeader <= file_size) {
-    GADGET_RETURN_IF_ERROR(Pread(log_fd_, header.data(), kRecordHeader, addr));
+    GADGET_RETURN_IF_ERROR(PreadAll(log_fd_, header.data(), kRecordHeader, addr));
     uint32_t total = DecodeFixed32(header.data());
     uint8_t type = static_cast<uint8_t>(header[4]);
     uint32_t klen = DecodeFixed32(header.data() + 5);
@@ -98,7 +63,7 @@ Status FasterStore::Recover() {
     }
     key.resize(klen);
     if (klen > 0) {
-      GADGET_RETURN_IF_ERROR(Pread(log_fd_, key.data(), klen, addr + kRecordHeader));
+      GADGET_RETURN_IF_ERROR(PreadAll(log_fd_, key.data(), klen, addr + kRecordHeader));
     }
     if (type == kRecordTombstone) {
       index_.erase(key);
@@ -163,7 +128,7 @@ Status FasterStore::MaybeEvictLocked() {
     new_head += total;
   }
   size_t evict_bytes = static_cast<size_t>(new_head - head_);
-  GADGET_RETURN_IF_ERROR(Pwrite(log_fd_, buffer_.data(), evict_bytes, head_));
+  GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), evict_bytes, head_));
   if (opts_.sync_writes) {
     ++stats_.wal_fsyncs;
     if (::fdatasync(log_fd_) != 0) {
@@ -198,7 +163,7 @@ Status FasterStore::ReadRecordLocked(uint64_t addr, uint8_t* type, std::string* 
     return Status::Ok();
   }
   std::string header(kRecordHeader, '\0');
-  GADGET_RETURN_IF_ERROR(Pread(log_fd_, header.data(), kRecordHeader, addr));
+  GADGET_RETURN_IF_ERROR(PreadAll(log_fd_, header.data(), kRecordHeader, addr));
   uint32_t total = DecodeFixed32(header.data());
   *type = static_cast<uint8_t>(header[4]);
   uint32_t klen = DecodeFixed32(header.data() + 5);
@@ -208,7 +173,7 @@ Status FasterStore::ReadRecordLocked(uint64_t addr, uint8_t* type, std::string* 
   }
   std::string body(klen + vlen, '\0');
   if (!body.empty()) {
-    GADGET_RETURN_IF_ERROR(Pread(log_fd_, body.data(), body.size(), addr + kRecordHeader));
+    GADGET_RETURN_IF_ERROR(PreadAll(log_fd_, body.data(), body.size(), addr + kRecordHeader));
   }
   stats_.io_bytes_read += total;
   key->assign(body, 0, klen);
@@ -396,7 +361,7 @@ Status FasterStore::Flush() {
   if (closed_ || buffer_.empty()) {
     return Status::Ok();
   }
-  GADGET_RETURN_IF_ERROR(Pwrite(log_fd_, buffer_.data(), buffer_.size(), head_));
+  GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), buffer_.size(), head_));
   ++stats_.wal_fsyncs;
   if (::fdatasync(log_fd_) != 0) {
     return Status::IoError("fdatasync hybrid log");
@@ -424,7 +389,7 @@ StatusOr<CheckpointInfo> FasterStore::Checkpoint(const std::string& dir,
   // clearing it — the window stays resident), so the copy below contains
   // every acknowledged record up to the tail.
   if (!buffer_.empty()) {
-    GADGET_RETURN_IF_ERROR(Pwrite(log_fd_, buffer_.data(), buffer_.size(), head_));
+    GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), buffer_.size(), head_));
     ++stats_.wal_fsyncs;
     if (::fdatasync(log_fd_) != 0) {
       return Status::IoError("fdatasync hybrid log");
@@ -450,7 +415,7 @@ Status FasterStore::Close() {
   }
   Status s = Status::Ok();
   if (!buffer_.empty()) {
-    s = Pwrite(log_fd_, buffer_.data(), buffer_.size(), head_);
+    s = PwriteAll(log_fd_, buffer_.data(), buffer_.size(), head_);
     buffer_.clear();
   }
   if (log_fd_ >= 0) {

@@ -431,15 +431,6 @@ Status LsmStore::MakeRoomForWriteLocked() {
     }
     GADGET_RETURN_IF_ERROR(RotateMemTableLocked());
     flush_cv_.SignalAll();
-    if (opts_.max_immutable_memtables <= 0) {
-      // Compatibility mode: behave like the old inline flush — the write
-      // that fills a memtable waits for it to reach L0.
-      while (!imm_.empty() && bg_error_.ok() && !closing_) {
-        auto t0 = MonoClock::now();
-        stall_cv_.Wait();
-        stats_.stall_micros += MicrosSince(t0);
-      }
-    }
   }
 }
 

@@ -17,9 +17,7 @@ struct LsmOptions {
 
   // Write pipeline (DESIGN.md §5e). A full memtable is sealed onto a bounded
   // queue of immutables and flushed to L0 by a dedicated flusher thread, so
-  // writers never do SSTable I/O inline. 0 makes every rotation synchronous
-  // (the writer waits for the flusher to drain before continuing — the
-  // closest analogue of the old inline-flush behavior).
+  // writers never do SSTable I/O inline. Values below 1 act as 1.
   int max_immutable_memtables = 2;
 
   // Maximum parallel subcompactions per compaction job: the input key range

@@ -1,14 +1,16 @@
 // Tests for the shared buffer pool and the async read path it backs:
 // pin lifetime rules (pinned frames survive eviction pressure and file
 // erasure), clock-hand fairness, concurrent pin/unpin vs EraseFile races
-// (run under TSan in CI), async MultiGet equivalence against serial Get on
-// every engine, pool sharing across stores, and cold-pool crash restore.
+// (run under TSan in CI), both IoBackend read paths, async MultiGet
+// equivalence against serial Get on every engine, pool sharing across
+// stores, and cold-pool crash restore.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -120,23 +122,6 @@ TEST(BufferPoolClockTest, ColdFramesRotateOutEvenly) {
   EXPECT_EQ(pool.evictions(), 64u - 8u);
 }
 
-TEST(BufferPoolTwoQueueTest, ScanResistance) {
-  BufferPoolOptions opts = TinyPool(8 * 1024);
-  opts.eviction = BufferPoolOptions::Eviction::kTwoQueue;
-  BufferPool pool(opts);
-  // Promote two frames to the protected list by touching them again.
-  pool.InsertBlock(1, 0, std::string(1024, 'h'));
-  pool.InsertBlock(1, 4096, std::string(1024, 'h'));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 0)));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 4096)));
-  // A long one-shot scan must churn probation, not the protected frames.
-  for (uint64_t i = 0; i < 100; ++i) {
-    pool.InsertBlock(2, i * 4096, std::string(1024, 's'));
-  }
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 0)));
-  EXPECT_TRUE(static_cast<bool>(pool.Lookup(1, 4096)));
-}
-
 // --------------------------------------------------- concurrent pin/unpin
 
 TEST(BufferPoolConcurrencyTest, PinUnpinEraseFileRaces) {
@@ -186,7 +171,25 @@ TEST(BufferPoolConcurrencyTest, PinUnpinEraseFileRaces) {
 
 // ------------------------------------------------------------- io backend
 
-TEST(IoBackendTest, BatchedReadsMatchFileContents) {
+// Both block-read paths: the io_uring ring (skipped where the kernel refuses
+// it) and the pread-worker fallback, which try_io_uring = false forces.
+class IoBackendTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (GetParam() && !io_.using_io_uring()) {
+      GTEST_SKIP() << "io_uring_setup refused; the pread pool serves this host";
+    }
+    ASSERT_EQ(io_.using_io_uring(), GetParam());
+  }
+
+  IoBackend io_{/*try_io_uring=*/GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(Paths, IoBackendTest, ::testing::Bool(), [](const auto& spec) {
+  return std::string(spec.param ? "Ring" : "PreadPool");
+});
+
+TEST_P(IoBackendTest, BatchedReadsMatchFileContents) {
   ScopedTempDir dir;
   const std::string path = dir.path() + "/blob";
   std::string blob;
@@ -196,7 +199,6 @@ TEST(IoBackendTest, BatchedReadsMatchFileContents) {
   ASSERT_TRUE(WriteStringToFile(path, blob).ok());
   int fd = ::open(path.c_str(), O_RDONLY);
   ASSERT_GE(fd, 0);
-  IoBackend io;
   std::vector<IoRead> reads(16);
   std::vector<IoRead*> ptrs;
   for (size_t i = 0; i < reads.size(); ++i) {
@@ -205,23 +207,22 @@ TEST(IoBackendTest, BatchedReadsMatchFileContents) {
     reads[i].length = 1024;
     ptrs.push_back(&reads[i]);
   }
-  io.ReadBatch(ptrs);
+  io_.ReadBatch(ptrs);
   for (size_t i = 0; i < reads.size(); ++i) {
     ASSERT_TRUE(reads[i].status.ok()) << reads[i].status.ToString();
     EXPECT_EQ(reads[i].out, blob.substr(i * 4096, 1024));
   }
-  EXPECT_GE(io.batches(), 1u);
-  EXPECT_GT(io.in_flight_max(), 1u);
+  EXPECT_GE(io_.batches(), 1u);
+  EXPECT_GT(io_.in_flight_max(), 1u);
   ::close(fd);
 }
 
-TEST(IoBackendTest, ShortAndFailedReadsReportPerRead) {
+TEST_P(IoBackendTest, ShortAndFailedReadsReportPerRead) {
   ScopedTempDir dir;
   const std::string path = dir.path() + "/short";
   ASSERT_TRUE(WriteStringToFile(path, std::string(100, 's')).ok());
   int fd = ::open(path.c_str(), O_RDONLY);
   ASSERT_GE(fd, 0);
-  IoBackend io;
   IoRead past_eof;  // starts beyond EOF: must fail, not hang
   past_eof.fd = fd;
   past_eof.offset = 4096;
@@ -234,7 +235,7 @@ TEST(IoBackendTest, ShortAndFailedReadsReportPerRead) {
   good.fd = fd;
   good.offset = 0;
   good.length = 100;
-  io.ReadBatch({&past_eof, &bad_fd, &good});
+  io_.ReadBatch({&past_eof, &bad_fd, &good});
   EXPECT_FALSE(past_eof.status.ok());
   EXPECT_FALSE(bad_fd.status.ok());
   ASSERT_TRUE(good.status.ok());

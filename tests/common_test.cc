@@ -1,6 +1,8 @@
 // Unit tests for src/common: status, coding, crc32c, rng, histogram, config,
 // file utilities.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <set>
 
@@ -248,6 +250,19 @@ TEST(FileUtilTest, RandomAccessReads) {
   ASSERT_TRUE((*file)->Read(3, 4, &out).ok());
   EXPECT_EQ(out, "3456");
   EXPECT_FALSE((*file)->Read(8, 5, &out).ok());  // beyond EOF
+
+  // PwriteAll/PreadAll: overwrite in place at an offset and read it back,
+  // through the raw descriptor and through the reader.
+  const int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(PwriteAll(fd, "abc", 3, 5).ok());
+  std::string back(3, '\0');
+  ASSERT_TRUE(PreadAll(fd, back.data(), back.size(), 5).ok());
+  EXPECT_EQ(back, "abc");
+  EXPECT_FALSE(PreadAll(fd, back.data(), back.size(), 9).ok());  // runs past EOF
+  ::close(fd);
+  ASSERT_TRUE((*file)->Read(0, 10, &out).ok());
+  EXPECT_EQ(out, "01234abc89");
 }
 
 TEST(FileUtilTest, ScopedTempDirCleansUp) {

@@ -271,28 +271,5 @@ TEST(LsmPipelineTest, ParallelSubcompactionsPreserveData) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
-TEST(LsmPipelineTest, SynchronousModeStillWorks) {
-  // max_immutable_memtables == 0: the writer that fills a memtable waits for
-  // the flush, like the pre-pipeline engine.
-  ScopedTempDir dir;
-  LsmOptions opts = PipelineOptions();
-  opts.max_immutable_memtables = 0;
-  auto store = LsmStore::Open(dir.path(), opts);
-  ASSERT_TRUE(store.ok());
-  std::string value(512, 'v');
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE((*store)->Put("s" + std::to_string(i), value).ok()) << i;
-  }
-  auto* lsm = AsLsm(store);
-  EXPECT_GT((*store)->stats().flushes, 0u);
-  EXPECT_LE(lsm->TEST_NumImmutables(), 1u);
-  for (int i = 0; i < 300; i += 17) {
-    std::string got;
-    ASSERT_TRUE((*store)->Get("s" + std::to_string(i), &got).ok()) << i;
-    EXPECT_EQ(got, value);
-  }
-  ASSERT_TRUE((*store)->Close().ok());
-}
-
 }  // namespace
 }  // namespace gadget

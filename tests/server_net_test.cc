@@ -2,9 +2,8 @@
 // sharding across IO threads, every engine called by several reactors at
 // once, pipelined-response writev coalescing, the bounded per-connection
 // output queue under a deliberately stalled reader (frames stay whole and in
-// order, its reads pause, other connections keep being served), the io_uring
-// backend when the kernel offers it (silent epoll fallback otherwise), and
-// the boot-race connect retry. These are the TSan-lane subjects: everything
+// order, its reads pause, other connections keep being served), and the
+// boot-race connect retry. These are the TSan-lane subjects: everything
 // here runs multiple reactors and client threads against the same stores,
 // counters and queues.
 #include <gtest/gtest.h>
@@ -450,57 +449,6 @@ TEST(ServerNetTest, PausedReaderDoesNotDelayOtherConnections) {
     return s.output_queue_stall_micros > 0;
   });
   EXPECT_GT(ns.output_queue_stall_micros, 0u) << "A's reads never paused";
-  (*server)->Stop();
-}
-
-// ------------------------------------------------------------ io_uring
-
-// With use_io_uring the server must behave identically; whether the rings
-// actually engage depends on the kernel, so the counters are asserted only
-// when the runtime probe succeeded (the fallback path is the same code every
-// other test runs).
-TEST(ServerNetTest, IoUringReplayWhenKernelSupportsIt) {
-  Config config;
-  config.Set("source", "borg");
-  config.Set("events", "2000");
-  config.Set("seed", "31");
-  auto trace = BuildAccessTrace(config);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-
-  ServerOptions sopts;
-  sopts.shards = 2;
-  sopts.io_threads = 2;
-  sopts.use_io_uring = true;
-  sopts.store.engine = "mem";
-  auto server = Server::Start(sopts);
-  ASSERT_TRUE(server.ok()) << server.status().ToString();
-
-  LoadgenOptions lopts;
-  lopts.port = (*server)->port();
-  lopts.clients = 4;
-  lopts.shards = 2;
-  lopts.batch_size = 16;
-  lopts.pipeline_depth = 4;
-  auto result = RunLoadgen(*trace, lopts);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->ops_acked, result->ops_sent);
-  EXPECT_EQ(result->errors, 0u);
-
-  const NetStats ns = WaitForNet(server->get(), [](const NetStats& s) {
-    return s.bytes_in > 0 && s.bytes_out > 0 &&
-           (s.io_uring_active ? (s.uring_enters > 0 && s.uring_sqes > 0)
-                              : s.writev_calls > 0);
-  });
-  if (ns.io_uring_active) {
-    EXPECT_GT(ns.uring_enters, 0u) << "rings active but never entered";
-    EXPECT_GT(ns.uring_sqes, 0u) << "rings active but no socket op submitted";
-  } else {
-    // Pre-5.6 kernel (or io_uring disabled): the silent epoll fallback must
-    // still have moved the traffic.
-    EXPECT_GT(ns.writev_calls, 0u);
-  }
-  EXPECT_GT(ns.bytes_in, 0u);
-  EXPECT_GT(ns.bytes_out, 0u);
   (*server)->Stop();
 }
 

@@ -440,7 +440,7 @@ void CheckRenameSync(std::string_view path, const std::vector<std::string_view>&
 // Block reads belong to the shared buffer pool: the legacy BlockCache type
 // must not come back, and raw pread() calls outside src/stores/bufferpool/
 // bypass the pool's IoBackend (no batching, no io_in_flight accounting).
-// Long-standing helpers (PreadAll, RandomAccessFile) are allowlisted.
+// file_util's PreadAll, the tree's one positional-read loop, is allowlisted.
 void CheckBufferPoolBypass(std::string_view path,
                            const std::vector<std::string_view>& stripped_lines,
                            std::vector<Finding>* findings) {
@@ -466,13 +466,12 @@ void CheckBufferPoolBypass(std::string_view path,
 }
 
 // Raw socket syscalls and io_uring socket opcodes belong to src/server/net/:
-// every other layer talks through the net:: helpers / FramedConn /
-// UringSocket so framing, partial-write handling, EINTR retries and SIGPIPE
-// suppression are decided once. The call matcher requires a non-identifier
-// (and non `.`/`->`/`:`) character before the call so method calls like
-// conn->Send(...) never fire; the opcode matcher covers only the SOCKET
-// opcodes (IORING_OP_READ/WRITE stay legal for the buffer pool's file
-// backend).
+// every other layer talks through the net:: helpers / FramedConn so framing,
+// partial-write handling, EINTR retries and SIGPIPE suppression are decided
+// once. The call matcher requires a non-identifier (and non `.`/`->`/`:`)
+// character before the call so method calls like conn->Send(...) never fire;
+// the opcode matcher covers only the SOCKET opcodes (IORING_OP_READ/WRITE
+// stay legal for the buffer pool's file backend).
 void CheckRawSocket(std::string_view path, const std::vector<std::string_view>& stripped_lines,
                     std::vector<Finding>* findings) {
   if (path.find("src/server/net/") != std::string_view::npos) {
@@ -480,7 +479,7 @@ void CheckRawSocket(std::string_view path, const std::vector<std::string_view>& 
   }
   static const std::regex kSyscall(
       R"((^|[^A-Za-z0-9_.>:])(::\s*)?(socket|send|recv|sendto|recvfrom|sendmsg|recvmsg|writev)\s*\()");
-  static const std::regex kUringSocketOp(
+  static const std::regex kSocketOpcode(
       R"(IORING_OP_(SENDMSG|SEND|RECVMSG|RECV|WRITEV)([^A-Za-z0-9_]|$))");
   for (size_t i = 0; i < stripped_lines.size(); ++i) {
     const std::string line(stripped_lines[i]);
@@ -493,11 +492,11 @@ void CheckRawSocket(std::string_view path, const std::vector<std::string_view>& 
                                "net::TcpConnect/SendAll/RecvChunk/WritevNonBlocking or "
                                "FramedConn"});
     }
-    if (std::regex_search(line, m, kUringSocketOp)) {
+    if (std::regex_search(line, m, kSocketOpcode)) {
       findings->push_back({std::string(path), static_cast<int>(i + 1), "raw-socket",
                            "io_uring socket opcode IORING_OP_" + m[1].str() +
-                               " outside src/server/net/; submit socket work through "
-                               "net::UringSocket so the epoll fallback and counters apply"});
+                               " outside src/server/net/; socket I/O goes through the "
+                               "net:: helpers there"});
     }
   }
 }

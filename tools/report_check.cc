@@ -13,12 +13,10 @@
 // demands the "server" object a `gadget loadgen` run emits (see
 // src/server/service.h) with zero lost operations (ops_acked == ops_sent),
 // zero server errors, a non-empty per-shard breakdown, and a "net" object
-// whose counters moved (bytes in/out, writev calls, per-IO-thread op gauges;
-// io_uring_active implies uring_enters > 0) — the server-smoke CI gate. With
-// two files,
-// additionally compares candidate against baseline: throughput may drop,
-// and overall-latency p50/p99/p999 may rise, by at most --max_regression
-// (default 0.15). Exit codes: 0 pass, 1 regression or validation failure,
+// whose counters moved (bytes in/out, writev calls, per-IO-thread op gauges)
+// — the server-smoke CI gate. With two files, additionally compares
+// candidate against baseline: throughput may drop, and overall-latency
+// p50/p99/p999 may rise, by at most --max_regression (default 0.15). Exit codes: 0 pass, 1 regression or validation failure,
 // 2 usage / unreadable / unparsable input.
 #include <cstdio>
 #include <cstdlib>
@@ -177,24 +175,11 @@ int main(int argc, char** argv) {
                      static_cast<unsigned long long>(frames_max));
         return 1;
       }
-      const bool uring_requested = net->Get("io_uring_requested") != nullptr &&
-                                   net->Get("io_uring_requested")->is_bool() &&
-                                   net->Get("io_uring_requested")->AsBool();
-      const bool uring_active = net->Get("io_uring_active") != nullptr &&
-                                net->Get("io_uring_active")->is_bool() &&
-                                net->Get("io_uring_active")->AsBool();
-      if (uring_active && net->GetUint("uring_enters") == 0) {
-        std::fprintf(stderr, "%s: io_uring reported active but uring_enters == 0\n",
-                     files[i].c_str());
-        return 1;
-      }
       std::printf("%s: server replay clean (%llu ops over %llu shards, skew %.3f; "
-                  "%llu IO thread(s), %s)\n",
+                  "%llu IO thread(s))\n",
                   files[i].c_str(), static_cast<unsigned long long>(acked),
                   static_cast<unsigned long long>(shards), server->GetDouble("shard_skew"),
-                  static_cast<unsigned long long>(io_threads),
-                  uring_active ? "io_uring"
-                               : (uring_requested ? "epoll (io_uring unavailable)" : "epoll"));
+                  static_cast<unsigned long long>(io_threads));
     }
   }
   if (files.size() == 1) {
