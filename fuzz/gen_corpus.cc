@@ -157,19 +157,22 @@ bool GenSSTable(const std::string& root) {
   std::string seeded = "\x01" + FileBytes(path);
   // Mode byte 0 = direct SearchBlock: key length 2, key "k1", then a tiny
   // hand-assembled block (varint klen | key | type | varint vlen | value).
-  std::string block;
-  block.push_back(2);  // klen
-  block += "k1";
-  block.push_back(1);  // RecType::kValue
-  block.push_back(2);  // vlen
-  block += "v1";
-  std::string direct;
-  direct.push_back('\x00');
-  direct.push_back(2);  // fuzz key length selector
-  direct += "k1";
-  direct += block;
+  auto direct = [](char type) {
+    std::string bytes;
+    bytes.push_back('\x00');
+    bytes.push_back(2);  // fuzz key length selector
+    bytes += "k1";
+    bytes.push_back(2);  // klen
+    bytes += "k1";
+    bytes.push_back(type);
+    bytes.push_back(2);  // vlen
+    bytes += "v1";
+    return bytes;
+  };
   return Emit(root, "sstable", "small_table", seeded) &&
-         Emit(root, "sstable", "search_block", direct);
+         Emit(root, "sstable", "search_block", direct(1)) &&  // RecType::kValue
+         // A record type no writer emits: SearchBlock must call it corruption.
+         Emit(root, "sstable", "search_block_unknown_type", direct(3));
 }
 
 bool GenTrace(const std::string& root) {

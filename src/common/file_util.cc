@@ -86,10 +86,7 @@ Status WritableFile::Flush() { return fd_ < 0 ? Status::Ok() : FlushBuffer(); }
 
 Status WritableFile::Sync() {
   GADGET_RETURN_IF_ERROR(Flush());
-  if (fd_ >= 0 && ::fdatasync(fd_) != 0) {
-    return ErrnoStatus("fdatasync " + path_);
-  }
-  return Status::Ok();
+  return fd_ < 0 ? Status::Ok() : SyncData(fd_, path_);
 }
 
 Status WritableFile::Close() {
@@ -166,6 +163,20 @@ Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset) {
     data += w;
     offset += static_cast<uint64_t>(w);
     n -= static_cast<size_t>(w);
+  }
+  return Status::Ok();
+}
+
+Status SyncData(int fd, const std::string& path) {
+  if (::fdatasync(fd) != 0) {
+    return ErrnoStatus("fdatasync " + path);
+  }
+  return Status::Ok();
+}
+
+Status Truncate(int fd, uint64_t size, const std::string& path) {
+  if (::ftruncate(fd, static_cast<off_t>(size)) != 0) {
+    return ErrnoStatus("ftruncate " + path);
   }
   return Status::Ok();
 }

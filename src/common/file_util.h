@@ -1,7 +1,7 @@
 // RAII file and filesystem helpers shared by the persistent stores and trace
 // writers: buffered sequential writers/readers, random-access readers,
-// positional reads and writes, atomic renames, and scoped temp directories
-// for tests/benches.
+// positional reads and writes, data syncs and truncation, atomic renames, and
+// scoped temp directories for tests/benches.
 #ifndef GADGET_COMMON_FILE_UTIL_H_
 #define GADGET_COMMON_FILE_UTIL_H_
 
@@ -76,6 +76,11 @@ class RandomAccessFile {
 // short transfers. A read that reaches end of file first fails.
 Status PreadAll(int fd, char* data, size_t n, uint64_t offset);
 Status PwriteAll(int fd, const char* data, size_t n, uint64_t offset);
+
+// The tree's one fdatasync and one ftruncate on a raw descriptor. `path`
+// names the file in the error, which carries the errno text.
+Status SyncData(int fd, const std::string& path);
+Status Truncate(int fd, uint64_t size, const std::string& path);
 
 // Whole-file helpers.
 Status WriteStringToFile(const std::string& path, std::string_view data, bool sync = false);

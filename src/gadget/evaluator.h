@@ -64,8 +64,8 @@ struct ReplayOptions {
   // with immutable file sets (LSM/Lethe) link unchanged files instead of
   // re-capturing them.
   bool checkpoint_incremental = true;
-  // Passed through to every Get/MultiGet the replay issues (fill_cache,
-  // verify_checksums, readahead_blocks — see src/stores/read_options.h).
+  // Passed through to every Get/MultiGet the replay issues (fill_cache and
+  // verify_checksums — see src/stores/read_options.h).
   ReadOptions read_options;
 };
 

@@ -108,7 +108,6 @@ ReadOptions ReadOptionsFrom(const Config& config) {
   ReadOptions ropts;
   ropts.fill_cache = config.GetBool("fill_cache", true);
   ropts.verify_checksums = config.GetBool("verify_checksums", true);
-  ropts.readahead_blocks = static_cast<uint32_t>(config.GetUint("readahead_blocks", 0));
   return ropts;
 }
 

@@ -30,7 +30,6 @@
 //   fill_cache       admit replay read misses to the pool (the
 //                    CLI's --fill_cache=true|false)                (true)
 //   verify_checksums CRC-check every fetched block                 (true)
-//   readahead_blocks extra blocks fetched per cache-missing Get    (0)
 //   store_stripes    MemStore lock-stripe count, 0 = default      (0)
 //   sync_writes      fsync the WAL/log on every commit (group
 //                    commit makes this per-batch with batching);

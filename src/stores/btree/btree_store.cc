@@ -704,10 +704,7 @@ Status BTreeStore::MultiGet(const std::vector<std::string>& keys,
 Status BTreeStore::FlushLocked() {
   GADGET_RETURN_IF_ERROR(WriteBackDirtyLocked());
   GADGET_RETURN_IF_ERROR(PersistMeta());
-  if (::fdatasync(fd_) != 0) {
-    return Status::IoError("fdatasync btree");
-  }
-  return Status::Ok();
+  return SyncData(fd_, TreePath(dir_));
 }
 
 Status BTreeStore::Flush() {

@@ -61,7 +61,7 @@ class BTreeStore : public KVStore {
 
   Status Put(std::string_view key, std::string_view value) override;
   // Honors options.fill_cache (a miss read with fill_cache=false is not
-  // admitted to the pool); readahead/checksums do not apply to the page file.
+  // admitted to the pool); checksums do not apply to the page file.
   Status Get(std::string_view key, std::string* value, const ReadOptions& options) override;
   Status Delete(std::string_view key) override;
   Status ReadModifyWrite(std::string_view key, std::string_view operand) override;

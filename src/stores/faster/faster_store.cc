@@ -73,9 +73,7 @@ Status FasterStore::Recover() {
     addr += total;
   }
   if (addr < file_size) {
-    if (::ftruncate(log_fd_, static_cast<off_t>(addr)) != 0) {
-      return Status::IoError("ftruncate hybrid log");
-    }
+    GADGET_RETURN_IF_ERROR(Truncate(log_fd_, addr, path));
   }
   head_ = tail_ = durable_ = addr;
   return Status::Ok();
@@ -131,9 +129,7 @@ Status FasterStore::MaybeEvictLocked() {
   GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), evict_bytes, head_));
   if (opts_.sync_writes) {
     ++stats_.wal_fsyncs;
-    if (::fdatasync(log_fd_) != 0) {
-      return Status::IoError("fdatasync hybrid log");
-    }
+    GADGET_RETURN_IF_ERROR(SyncData(log_fd_, LogPath(dir_)));
   }
   buffer_.erase(0, evict_bytes);
   head_ = new_head;
@@ -363,9 +359,7 @@ Status FasterStore::Flush() {
   }
   GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), buffer_.size(), head_));
   ++stats_.wal_fsyncs;
-  if (::fdatasync(log_fd_) != 0) {
-    return Status::IoError("fdatasync hybrid log");
-  }
+  GADGET_RETURN_IF_ERROR(SyncData(log_fd_, LogPath(dir_)));
   durable_ = tail_;
   return Status::Ok();
 }
@@ -391,9 +385,7 @@ StatusOr<CheckpointInfo> FasterStore::Checkpoint(const std::string& dir,
   if (!buffer_.empty()) {
     GADGET_RETURN_IF_ERROR(PwriteAll(log_fd_, buffer_.data(), buffer_.size(), head_));
     ++stats_.wal_fsyncs;
-    if (::fdatasync(log_fd_) != 0) {
-      return Status::IoError("fdatasync hybrid log");
-    }
+    GADGET_RETURN_IF_ERROR(SyncData(log_fd_, LogPath(dir_)));
     durable_ = tail_;
   }
   GADGET_RETURN_IF_ERROR(CopyFile(LogPath(dir_), LogPath(dir), /*sync=*/true));
@@ -422,8 +414,9 @@ Status FasterStore::Close() {
     ++stats_.wal_fsyncs;
     // The final sync's failure must not vanish: this is the last chance to
     // report that buffered log bytes may not have reached the platter.
-    if (::fdatasync(log_fd_) != 0 && s.ok()) {
-      s = Status::IoError("fdatasync hybrid log on close");
+    Status synced = SyncData(log_fd_, LogPath(dir_));
+    if (s.ok()) {
+      s = synced;
     }
     ::close(log_fd_);
     log_fd_ = -1;

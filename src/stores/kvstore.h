@@ -180,7 +180,7 @@ class KVStore {
   virtual Status Put(std::string_view key, std::string_view value) = 0;
 
   // NotFound when the key is absent or deleted. `options` tunes the read
-  // (cache admission, readahead, checksum verification — see
+  // (cache admission, checksum verification — see
   // src/stores/read_options.h); engines without the mechanism ignore it.
   // Overriders must re-surface the convenience overload with
   // `using KVStore::Get;`.

@@ -522,7 +522,8 @@ LookupState LsmStore::LookupMemLayersLocked(std::string_view key, std::string* v
 }
 
 Status LsmStore::Get(std::string_view key, std::string* value, const ReadOptions& options) {
-  std::vector<std::string> acc;
+  Status status;
+  KeyRead read{key, value, &status};
   std::shared_ptr<const Version> version;
   {
     MutexLock lock(&mu_);
@@ -530,7 +531,7 @@ Status LsmStore::Get(std::string_view key, std::string* value, const ReadOptions
     if (!bg_error_.ok()) {
       return bg_error_;
     }
-    LookupState state = LookupMemLayersLocked(key, value, &acc);
+    LookupState state = LookupMemLayersLocked(key, value, &read.acc);
     if (state == LookupState::kFound) {
       read_bytes_.fetch_add(value->size(), std::memory_order_relaxed);
       return Status::Ok();
@@ -543,7 +544,8 @@ Status LsmStore::Get(std::string_view key, std::string* value, const ReadOptions
   // From here on the lookup works off the snapshot only: searching SSTables
   // (block I/O) must never touch mu_, or concurrent readers serialize behind
   // writers and the background threads.
-  return SearchTablesUnlocked(*version, key, std::move(acc), value, options);
+  SearchTablesUnlocked(*version, &read, 1, options);
+  return status;
 }
 
 Status LsmStore::MultiGet(const std::vector<std::string>& keys,
@@ -554,7 +556,7 @@ Status LsmStore::MultiGet(const std::vector<std::string>& keys,
   statuses->assign(n, Status::Ok());
   // Keys the memtable layers could not resolve, with any merge operands they
   // stacked.
-  std::vector<PendingRead> pending;
+  std::vector<KeyRead> pending;
   std::shared_ptr<const Version> version;
   {
     MutexLock lock(&mu_);
@@ -563,18 +565,17 @@ Status LsmStore::MultiGet(const std::vector<std::string>& keys,
       return bg_error_;
     }
     for (size_t i = 0; i < n; ++i) {
-      std::vector<std::string> acc;
-      LookupState state = LookupMemLayersLocked(keys[i], &(*values)[i], &acc);
-      switch (state) {
+      KeyRead read{keys[i], &(*values)[i], &(*statuses)[i]};
+      switch (LookupMemLayersLocked(read.key, read.value, &read.acc)) {
         case LookupState::kFound:
-          read_bytes_.fetch_add((*values)[i].size(), std::memory_order_relaxed);
+          read_bytes_.fetch_add(read.value->size(), std::memory_order_relaxed);
           break;
         case LookupState::kDeleted:
-          (*statuses)[i] = Status::NotFound();
+          *read.status = Status::NotFound();
           break;
         case LookupState::kNotFound:
         case LookupState::kMergePartial:
-          pending.push_back({i, std::move(acc)});
+          pending.push_back(std::move(read));
           break;
       }
     }
@@ -583,7 +584,7 @@ Status LsmStore::MultiGet(const std::vector<std::string>& keys,
     }
   }
   if (!pending.empty()) {
-    SearchTablesAsyncUnlocked(*version, keys, std::move(pending), values, statuses, options);
+    SearchTablesUnlocked(*version, pending.data(), pending.size(), options);
   }
   Status first_error;
   for (size_t i = 0; i < n; ++i) {
@@ -596,226 +597,127 @@ Status LsmStore::MultiGet(const std::vector<std::string>& keys,
   return first_error;
 }
 
-Status LsmStore::SearchTablesUnlocked(const Version& version, std::string_view key,
-                                      std::vector<std::string> acc, std::string* value,
-                                      const ReadOptions& options) {
-  std::string val;
-  std::vector<std::string> layer_ops;
-
-  auto finish_found = [&](std::string base) -> Status {
-    *value = ApplyMerge(base, acc);
-    read_bytes_.fetch_add(value->size(), std::memory_order_relaxed);
-    return Status::Ok();
-  };
-  auto finish_deleted = [&]() -> Status {
-    if (acc.empty()) {
-      return Status::NotFound();
-    }
-    return finish_found("");
-  };
-
-  auto search_file = [&](const std::shared_ptr<FileMeta>& f,
-                         bool* terminal) -> Status {
-    *terminal = false;
-    if (key < std::string_view(f->smallest) || std::string_view(f->largest) < key) {
-      return Status::Ok();
-    }
-    layer_ops.clear();
-    val.clear();
-    auto st = f->reader->Get(key, &val, &layer_ops, options);
-    if (!st.ok()) {
-      *terminal = true;
-      return st.status();
-    }
-    switch (*st) {
-      case LookupState::kNotFound:
-        return Status::Ok();
-      case LookupState::kFound:
-        *terminal = true;
-        return finish_found(std::move(val));
-      case LookupState::kDeleted:
-        *terminal = true;
-        return finish_deleted();
-      case LookupState::kMergePartial:
-        // This layer is older than everything accumulated: prepend.
-        acc.insert(acc.begin(), std::make_move_iterator(layer_ops.begin()),
-                   std::make_move_iterator(layer_ops.end()));
-        return Status::Ok();
-    }
-    return Status::Internal("unreachable");
-  };
-
-  // L0: newest file first.
+void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size_t n,
+                                    const ReadOptions& options) {
+  // The next table in `r`'s shadowing order whose key range holds its key,
+  // or nullptr once every level is walked: L0 newest first, then at most one
+  // file per sorted level. The caller's snapshot keeps every FileMeta alive.
   const auto& l0 = version.levels[0];
-  for (auto it = l0.rbegin(); it != l0.rend(); ++it) {
-    bool terminal = false;
-    Status s = search_file(*it, &terminal);
-    if (terminal || !s.ok()) {
-      return s;
-    }
-  }
-  // L1+: at most one file per level contains the key.
-  for (size_t l = 1; l < version.levels.size(); ++l) {
-    const auto& files = version.levels[l];
-    auto it = std::lower_bound(files.begin(), files.end(), key,
-                               [](const std::shared_ptr<FileMeta>& f, std::string_view k) {
-                                 return std::string_view(f->largest) < k;
-                               });
-    if (it == files.end()) {
-      continue;
-    }
-    bool terminal = false;
-    Status s = search_file(*it, &terminal);
-    if (terminal || !s.ok()) {
-      return s;
-    }
-  }
-  if (acc.empty()) {
-    return Status::NotFound();
-  }
-  // Merge operands with no base anywhere: base is implicitly empty.
-  return finish_found("");
-}
-
-void LsmStore::SearchTablesAsyncUnlocked(const Version& version,
-                                         const std::vector<std::string>& keys,
-                                         std::vector<PendingRead> pending,
-                                         std::vector<std::string>* values,
-                                         std::vector<Status>* statuses,
-                                         const ReadOptions& options) {
-  // Per-key cursor over the SSTables that may hold it, in shadowing order
-  // (L0 newest first, then at most one candidate per lower level). The
-  // `version` snapshot held by the caller keeps every FileMeta alive.
-  struct KeyWork {
-    size_t index = 0;                    // into keys/values/statuses
-    std::vector<std::string> acc;        // merge operands, newest first
-    std::vector<const FileMeta*> files;  // candidates in shadowing order
-    size_t next_file = 0;
-    bool done = false;
-  };
-  std::vector<KeyWork> work(pending.size());
-  for (size_t i = 0; i < pending.size(); ++i) {
-    KeyWork& w = work[i];
-    w.index = pending[i].index;
-    w.acc = std::move(pending[i].acc);
-    const std::string_view key = keys[w.index];
-    const auto& l0 = version.levels[0];
-    for (auto it = l0.rbegin(); it != l0.rend(); ++it) {  // newest first
-      if (key >= std::string_view((*it)->smallest) && key <= std::string_view((*it)->largest)) {
-        w.files.push_back(it->get());
+  const size_t slots = l0.size() + version.levels.size() - 1;
+  auto next_table = [&](KeyRead* r) -> SSTableReader* {
+    while (r->next_table < slots) {
+      const size_t slot = r->next_table++;
+      const FileMeta* f = nullptr;
+      if (slot < l0.size()) {
+        f = l0[l0.size() - 1 - slot].get();
+      } else {
+        const auto& files = version.levels[slot - l0.size() + 1];
+        auto it = std::lower_bound(files.begin(), files.end(), r->key,
+                                   [](const std::shared_ptr<FileMeta>& m, std::string_view k) {
+                                     return std::string_view(m->largest) < k;
+                                   });
+        if (it == files.end()) {
+          continue;
+        }
+        f = it->get();
+      }
+      if (r->key >= std::string_view(f->smallest) && r->key <= std::string_view(f->largest)) {
+        return f->reader.get();
       }
     }
-    for (size_t l = 1; l < version.levels.size(); ++l) {
-      const auto& files = version.levels[l];
-      auto it = std::lower_bound(files.begin(), files.end(), key,
-                                 [](const std::shared_ptr<FileMeta>& f, std::string_view k) {
-                                   return std::string_view(f->largest) < k;
-                                 });
-      if (it != files.end() && key >= std::string_view((*it)->smallest)) {
-        w.files.push_back(it->get());
-      }
-    }
-  }
+    return nullptr;
+  };
 
-  auto finish_found = [&](KeyWork* w, std::string base) {
-    (*values)[w->index] = ApplyMerge(base, w->acc);
-    read_bytes_.fetch_add((*values)[w->index].size(), std::memory_order_relaxed);
-    (*statuses)[w->index] = Status::Ok();
-    w->done = true;
-  };
-  auto finish_deleted = [&](KeyWork* w) {
-    if (w->acc.empty()) {
-      (*statuses)[w->index] = Status::NotFound();
-      w->done = true;
-      return;
+  // Resolves `r`. A table's base value is already in *r->value; a tombstone
+  // or the end of the walk supplies an empty base instead, and with no
+  // operands to apply to it the key is absent.
+  auto finish = [&](KeyRead* r, bool has_base) {
+    r->done = true;
+    if (!has_base) {
+      if (r->acc.empty()) {
+        *r->status = Status::NotFound();
+        return;
+      }
+      r->value->clear();
     }
-    finish_found(w, "");
+    for (const std::string& op : r->acc) {
+      r->value->append(op);
+    }
+    read_bytes_.fetch_add(r->value->size(), std::memory_order_relaxed);
   };
-  auto finish_error = [&](KeyWork* w, Status s) {
-    (*statuses)[w->index] = std::move(s);
-    w->done = true;
+  auto fail = [](KeyRead* r, const Status& s) {
+    *r->status = s;
+    r->done = true;
   };
-  // Searches one decoded block; mirrors SearchTablesUnlocked's per-table
-  // handling (terminal found/deleted, operand prepend, else next table).
-  auto apply_block = [&](KeyWork* w, std::string_view block, const std::string& path) {
-    std::string val;
-    std::vector<std::string> ops;
-    auto st = SSTableReader::SearchBlock(block, keys[w->index], &val, &ops, path);
+  // Applies one table's data block: a value or a tombstone resolves the key,
+  // and operands from this table, older than every one stacked so far, go
+  // in front of them.
+  std::vector<std::string> ops;
+  auto apply_block = [&](KeyRead* r, std::string_view block, const std::string& path) {
+    ops.clear();
+    auto st = SSTableReader::SearchBlock(block, r->key, r->value, &ops, path);
     if (!st.ok()) {
-      finish_error(w, st.status());
+      fail(r, st.status());
       return;
     }
     switch (*st) {
       case LookupState::kNotFound:
-        ++w->next_file;
         break;
       case LookupState::kFound:
-        finish_found(w, std::move(val));
+        finish(r, /*has_base=*/true);
         break;
       case LookupState::kDeleted:
-        finish_deleted(w);
+        finish(r, /*has_base=*/false);
         break;
       case LookupState::kMergePartial:
-        // This layer is older than everything accumulated: prepend.
-        w->acc.insert(w->acc.begin(), std::make_move_iterator(ops.begin()),
+        r->acc.insert(r->acc.begin(), std::make_move_iterator(ops.begin()),
                       std::make_move_iterator(ops.end()));
-        ++w->next_file;
         break;
     }
   };
 
-  // One round: every unresolved key walks its candidate tables through the
-  // cache until it either resolves, exhausts, or misses — all of a round's
-  // misses (deduplicated per block) then form one batched I/O wave. Each
-  // parsed block strictly advances or resolves its waiters, so rounds
-  // terminate.
+  // One round: every unresolved key walks its tables through the pool until
+  // it resolves, exhausts, or misses — all of a round's misses (deduplicated
+  // per block) then form one batched I/O wave. Each landed block strictly
+  // advances or resolves its waiters, so rounds terminate.
   struct WaveBlock {
     SSTableReader* reader = nullptr;
     uint64_t offset = 0;
     IoRead io;
-    std::vector<KeyWork*> waiters;
+    std::vector<KeyRead*> waiters;
   };
   for (;;) {
     std::vector<WaveBlock> wave;
     std::map<std::pair<SSTableReader*, uint64_t>, size_t> block_index;
-    for (KeyWork& w : work) {
-      while (!w.done) {
-        if (w.next_file >= w.files.size()) {
-          // No table resolved the key; merge operands (if any) apply to an
-          // implicitly empty base.
-          if (w.acc.empty()) {
-            (*statuses)[w.index] = Status::NotFound();
-            w.done = true;
-          } else {
-            finish_found(&w, "");
-          }
+    for (KeyRead* r = reads; r != reads + n; ++r) {
+      while (!r->done) {
+        SSTableReader* reader = next_table(r);
+        if (reader == nullptr) {
+          finish(r, /*has_base=*/false);
           break;
         }
-        SSTableReader* reader = w.files[w.next_file]->reader.get();
         uint64_t offset = 0;
         uint32_t size = 0;
-        if (!reader->FindDataBlock(keys[w.index], &offset, &size)) {
-          ++w.next_file;  // bloom/index miss: no I/O for this table
-          continue;
+        if (!reader->FindDataBlock(r->key, &offset, &size)) {
+          continue;  // bloom/index miss: no I/O for this table
         }
         PinnedBlock cached = reader->CacheLookup(offset);
         if (cached.has_data()) {
-          apply_block(&w, cached.data(), reader->path());
+          apply_block(r, cached.data(), reader->path());
           continue;
         }
-        // Cache miss: join (or start) this round's wave entry for the block
+        // Pool miss: join (or start) this round's wave entry for the block
         // and stop walking until the wave lands.
         auto [it, inserted] = block_index.try_emplace({reader, offset}, wave.size());
         if (inserted) {
-          wave.emplace_back();
-          WaveBlock& b = wave.back();
+          WaveBlock& b = wave.emplace_back();
           b.reader = reader;
           b.offset = offset;
           b.io.fd = reader->fd();
           b.io.offset = offset;
           b.io.length = size;
         }
-        wave[it->second].waiters.push_back(&w);
+        wave[it->second].waiters.push_back(r);
         break;
       }
     }
@@ -829,28 +731,24 @@ void LsmStore::SearchTablesAsyncUnlocked(const Version& version,
     }
     pool_->io().ReadBatch(ios);
     for (WaveBlock& b : wave) {
-      if (!b.io.status.ok()) {
-        for (KeyWork* w : b.waiters) {
-          finish_error(w, b.io.status);
-        }
-        continue;
+      Status s = b.io.status;
+      if (s.ok()) {
+        s = SSTableReader::VerifyAndStripChecksum(&b.io.out, options.verify_checksums,
+                                                  b.reader->path());
       }
-      std::string block = std::move(b.io.out);
-      Status vs = SSTableReader::VerifyAndStripChecksum(&block, options.verify_checksums,
-                                                        b.reader->path());
-      if (!vs.ok()) {
-        for (KeyWork* w : b.waiters) {
-          finish_error(w, vs);
+      if (!s.ok()) {
+        for (KeyRead* w : b.waiters) {
+          fail(w, s);
         }
         continue;
       }
       PinnedBlock inserted;
       if (options.fill_cache) {
-        inserted = b.reader->CacheInsert(b.offset, std::move(block));
+        inserted = b.reader->CacheInsert(b.offset, std::move(b.io.out));
       }
       const std::string_view view =
-          inserted.has_data() ? inserted.data() : std::string_view(block);
-      for (KeyWork* w : b.waiters) {
+          inserted.has_data() ? inserted.data() : std::string_view(b.io.out);
+      for (KeyRead* w : b.waiters) {
         apply_block(w, view, b.reader->path());
       }
     }
@@ -1043,9 +941,9 @@ bool LsmStore::PickCompactionLocked(CompactionJob* job) {
     return true;
   };
 
-  // Rule 1: L0 file count.
-  if (v.levels[0].size() >= static_cast<size_t>(opts_.l0_compaction_trigger)) {
-    // Newest first.
+  // All of L0, newest first, into L1. A partial L0 compaction would re-order
+  // shadowing (a newer L0 record must never end up below an older L0 file).
+  auto pick_l0 = [&] {
     for (auto it = v.levels[0].rbegin(); it != v.levels[0].rend(); ++it) {
       job->inputs.push_back(*it);
     }
@@ -1058,6 +956,18 @@ bool LsmStore::PickCompactionLocked(CompactionJob* job) {
     add_overlaps(1, begin, end);
     job->output_level = 1;
     job->bottommost = compute_bottommost(1, begin, end);
+  };
+  // One file of sorted level `level` into the next level.
+  auto pick_file = [&](int level, const std::shared_ptr<FileMeta>& file) {
+    job->inputs.push_back(file);
+    add_overlaps(level + 1, file->smallest, file->largest);
+    job->output_level = level + 1;
+    job->bottommost = compute_bottommost(level + 1, file->smallest, file->largest);
+  };
+
+  // Rule 1: L0 file count.
+  if (v.levels[0].size() >= static_cast<size_t>(opts_.l0_compaction_trigger)) {
+    pick_l0();
     return true;
   }
 
@@ -1071,17 +981,12 @@ bool LsmStore::PickCompactionLocked(CompactionJob* job) {
     if (cursor >= files.size()) {
       cursor = 0;
     }
-    auto file = files[cursor];
-    ++cursor;
-    job->inputs.push_back(file);
-    add_overlaps(l + 1, file->smallest, file->largest);
-    job->output_level = l + 1;
-    job->bottommost = compute_bottommost(l + 1, file->smallest, file->largest);
+    pick_file(l, files[cursor++]);
     return true;
   }
 
   // Rule 3 (Lethe): force-compact files whose tombstones outlived the delete
-  // persistence threshold.
+  // persistence threshold; an aged L0 tombstone takes all of L0 with it.
   if (opts_.delete_aware) {
     uint64_t now = NowMs();
     for (int l = 0; l < opts_.num_levels - 1; ++l) {
@@ -1090,30 +995,10 @@ bool LsmStore::PickCompactionLocked(CompactionJob* job) {
           continue;
         }
         if (l == 0) {
-          // A partial L0 compaction would re-order shadowing (a newer L0
-          // record must never end up below an older L0 file), so an aged L0
-          // tombstone triggers the full L0->L1 compaction.
-          if (v.levels[0].empty()) {
-            continue;
-          }
-          for (auto it = v.levels[0].rbegin(); it != v.levels[0].rend(); ++it) {
-            job->inputs.push_back(*it);
-          }
-          std::string begin = job->inputs.front()->smallest;
-          std::string end = job->inputs.front()->largest;
-          for (const auto& in : job->inputs) {
-            begin = std::min(begin, in->smallest);
-            end = std::max(end, in->largest);
-          }
-          add_overlaps(1, begin, end);
-          job->output_level = 1;
-          job->bottommost = compute_bottommost(1, begin, end);
-          return true;
+          pick_l0();
+        } else {
+          pick_file(l, f);
         }
-        job->inputs.push_back(f);
-        add_overlaps(l + 1, f->smallest, f->largest);
-        job->output_level = l + 1;
-        job->bottommost = compute_bottommost(l + 1, f->smallest, f->largest);
         return true;
       }
     }

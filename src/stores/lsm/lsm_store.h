@@ -70,7 +70,8 @@ class LsmStore : public KVStore {
   // single WAL record); MultiGet probes the memtable layers for every key and
   // snapshots the Version once, then resolves the misses against SSTables
   // asynchronously: every key's block miss joins one batched I/O wave through
-  // the pool's IoBackend instead of N serial preads.
+  // the pool's IoBackend instead of N serial preads. Get runs the same walk
+  // for its one key.
   Status Write(const WriteBatch& batch) override;
   Status MultiGet(const std::vector<std::string>& keys, std::vector<std::string>* values,
                   std::vector<Status>* statuses, const ReadOptions& options) override;
@@ -148,23 +149,26 @@ class LsmStore : public KVStore {
   // must continue into the SSTables with the accumulated operands in *acc.
   LookupState LookupMemLayersLocked(std::string_view key, std::string* value,
                                     std::vector<std::string>* acc) const REQUIRES(mu_);
-  // SSTable half of the serial read path (Get). `acc` carries merge operands
-  // already accumulated from newer layers (the memtables). Must be called
-  // with no locks held: it does block I/O against the snapshot.
-  Status SearchTablesUnlocked(const Version& version, std::string_view key,
-                              std::vector<std::string> acc, std::string* value,
-                              const ReadOptions& options) EXCLUDES(mu_);
-  // Async SSTable half of MultiGet: resolves all pending keys against the
-  // snapshot, batching every cache-missed block read of a round into one
-  // IoBackend wave. Each entry of `pending` indexes keys/values/statuses.
-  struct PendingRead {
-    size_t index;
+  // One key on its way through the SSTables: where its answer lands, the
+  // merge operands the newer layers stacked (oldest first), and a cursor
+  // over its candidate tables.
+  struct KeyRead {
+    std::string_view key;
+    std::string* value = nullptr;
+    Status* status = nullptr;
     std::vector<std::string> acc;
+    // Next slot of the shadowing order: L0 newest first, then one slot per
+    // lower level.
+    size_t next_table = 0;
+    bool done = false;
   };
-  void SearchTablesAsyncUnlocked(const Version& version, const std::vector<std::string>& keys,
-                                 std::vector<PendingRead> pending,
-                                 std::vector<std::string>* values, std::vector<Status>* statuses,
-                                 const ReadOptions& options) EXCLUDES(mu_);
+  // The SSTable half of Get (n = 1) and MultiGet: resolves every read
+  // against the snapshot. Each round walks every unresolved key through the
+  // pool until it resolves or misses; the round's misses, deduplicated per
+  // block, form one batched IoBackend wave. Must be called with no locks
+  // held: it does block I/O.
+  void SearchTablesUnlocked(const Version& version, KeyRead* reads, size_t n,
+                            const ReadOptions& options) EXCLUDES(mu_);
 
   // ------------------------------------------------------------ flush path
   struct ImmutableMem {

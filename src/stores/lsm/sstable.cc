@@ -17,6 +17,34 @@ void AppendBlockWithCrc(std::string* out, std::string_view block) {
   PutFixed32(out, MaskCrc(Crc32c(0, block.data(), block.size())));
 }
 
+// The one decoder of a data-block entry: varint klen | key | type | varint
+// vlen | value. Returns the position after the entry, or nullptr when the
+// entry runs past `end` or carries a record type no writer emits.
+const char* DecodeEntry(const char* p, const char* end, std::string_view* key, RecType* type,
+                        std::string_view* value) {
+  uint32_t klen = 0;
+  p = GetVarint32(p, end, &klen);
+  // 64-bit math: `klen + 1` wraps in uint32 for klen = UINT32_MAX and would
+  // pass the bounds check with a huge out-of-bounds read to follow.
+  if (p == nullptr || static_cast<uint64_t>(end - p) < static_cast<uint64_t>(klen) + 1) {
+    return nullptr;
+  }
+  *key = std::string_view(p, klen);
+  p += klen;
+  const auto t = static_cast<uint8_t>(*p++);
+  if (t > static_cast<uint8_t>(RecType::kMergeStack)) {
+    return nullptr;
+  }
+  *type = static_cast<RecType>(t);
+  uint32_t vlen = 0;
+  p = GetVarint32(p, end, &vlen);
+  if (p == nullptr || static_cast<size_t>(end - p) < vlen) {
+    return nullptr;
+  }
+  *value = std::string_view(p, vlen);
+  return p + vlen;
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- SSTableBuilder
@@ -234,19 +262,6 @@ bool SSTableReader::FindDataBlock(std::string_view key, uint64_t* offset, uint32
   return true;
 }
 
-void SSTableReader::BlocksAfter(uint64_t offset, uint32_t n,
-                                std::vector<std::pair<uint64_t, uint32_t>>* out) const {
-  auto it = std::lower_bound(
-      index_.begin(), index_.end(), offset,
-      [](const IndexEntry& e, uint64_t off) { return e.offset < off; });
-  if (it == index_.end() || it->offset != offset) {
-    return;
-  }
-  for (++it; it != index_.end() && n > 0; ++it, --n) {
-    out->emplace_back(it->offset, it->size);
-  }
-}
-
 PinnedBlock SSTableReader::CacheLookup(uint64_t offset) {
   return pool_ != nullptr ? pool_->Lookup(pool_file_id_, offset) : PinnedBlock();
 }
@@ -256,53 +271,6 @@ PinnedBlock SSTableReader::CacheInsert(uint64_t offset, std::string block) {
                           : PinnedBlock();
 }
 
-StatusOr<PinnedBlock> SSTableReader::ReadDataBlock(uint64_t offset, uint32_t size,
-                                                   const ReadOptions& options,
-                                                   std::string* uncached) {
-  if (pool_ == nullptr) {
-    GADGET_RETURN_IF_ERROR(ReadBlockRaw(offset, size, uncached));
-    return PinnedBlock();
-  }
-  if (PinnedBlock h = pool_->Lookup(pool_file_id_, offset)) {
-    return h;
-  }
-  // Miss: fetch the block — and, under readahead, the following blocks of
-  // this table that are not cached yet — as one I/O wave.
-  std::vector<std::pair<uint64_t, uint32_t>> want;
-  want.emplace_back(offset, size);
-  if (options.fill_cache && options.readahead_blocks > 0) {
-    BlocksAfter(offset, options.readahead_blocks, &want);
-  }
-  std::vector<IoRead> ios(want.size());
-  std::vector<IoRead*> ptrs;
-  ptrs.reserve(want.size());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ios[i].fd = file_->fd();
-    ios[i].offset = want[i].first;
-    ios[i].length = want[i].second;
-    ptrs.push_back(&ios[i]);
-  }
-  pool_->io().ReadBatch(ptrs);
-  GADGET_RETURN_IF_ERROR(ios[0].status);
-  GADGET_RETURN_IF_ERROR(
-      VerifyAndStripChecksum(&ios[0].out, options.verify_checksums, file_->path()));
-  // Readahead completions are best-effort: a bad speculative block is simply
-  // not cached (a future direct read will surface the error).
-  for (size_t i = 1; i < ios.size(); ++i) {
-    if (!ios[i].status.ok() ||
-        !VerifyAndStripChecksum(&ios[i].out, options.verify_checksums, file_->path()).ok()) {
-      continue;
-    }
-    PinnedBlock ra = pool_->InsertBlock(pool_file_id_, want[i].first, std::move(ios[i].out));
-    ra.Release();
-  }
-  if (options.fill_cache) {
-    return pool_->InsertBlock(pool_file_id_, offset, std::move(ios[0].out));
-  }
-  *uncached = std::move(ios[0].out);
-  return PinnedBlock();
-}
-
 StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::string_view key,
                                                  std::string* value,
                                                  std::vector<std::string>* operands,
@@ -310,21 +278,13 @@ StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::st
   const char* p = block.data();
   const char* end = p + block.size();
   while (p < end) {
-    uint32_t klen = 0;
-    p = GetVarint32(p, end, &klen);
-    if (p == nullptr || static_cast<uint64_t>(end - p) < static_cast<uint64_t>(klen) + 1) {
+    std::string_view k;
+    RecType type = RecType::kValue;
+    std::string_view v;
+    p = DecodeEntry(p, end, &k, &type, &v);
+    if (p == nullptr) {
       return Status::Corruption("bad data entry in " + path);
     }
-    std::string_view k(p, klen);
-    p += klen;
-    RecType type = static_cast<RecType>(*p++);
-    uint32_t vlen = 0;
-    p = GetVarint32(p, end, &vlen);
-    if (p == nullptr || static_cast<size_t>(end - p) < vlen) {
-      return Status::Corruption("bad data value in " + path);
-    }
-    std::string_view v(p, vlen);
-    p += vlen;
     if (k == key) {
       switch (type) {
         case RecType::kTombstone:
@@ -332,12 +292,11 @@ StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::st
         case RecType::kValue:
           value->assign(v.data(), v.size());
           return LookupState::kFound;
-        case RecType::kMergeStack: {
+        case RecType::kMergeStack:
           if (!DecodeMergeStack(v, operands)) {
             return Status::Corruption("bad merge stack in " + path);
           }
           return LookupState::kMergePartial;
-        }
       }
     }
     if (k > key) {
@@ -348,50 +307,15 @@ StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::st
 }
 
 StatusOr<LookupState> SSTableReader::Get(std::string_view key, std::string* value,
-                                         std::vector<std::string>* operands,
-                                         const ReadOptions& options) {
+                                         std::vector<std::string>* operands) const {
   uint64_t offset = 0;
   uint32_t size = 0;
   if (!FindDataBlock(key, &offset, &size)) {
     return LookupState::kNotFound;
   }
-  std::string uncached;
-  auto block = ReadDataBlock(offset, size, options, &uncached);
-  if (!block.ok()) {
-    return block.status();
-  }
-  if (*block) {
-    return SearchBlock(block->data(), key, value, operands, file_->path());
-  }
-  return SearchBlock(uncached, key, value, operands, file_->path());
-}
-
-Status SSTableReader::ForEach(
-    const std::function<void(std::string_view, RecType, std::string_view)>& fn) {
-  for (const IndexEntry& ie : index_) {
-    std::string block;
-    GADGET_RETURN_IF_ERROR(ReadBlockRaw(ie.offset, ie.size, &block));
-    const char* p = block.data();
-    const char* end = p + block.size();
-    while (p < end) {
-      uint32_t klen = 0;
-      p = GetVarint32(p, end, &klen);
-      if (p == nullptr || static_cast<uint64_t>(end - p) < static_cast<uint64_t>(klen) + 1) {
-        return Status::Corruption("bad data entry in " + file_->path());
-      }
-      std::string_view k(p, klen);
-      p += klen;
-      RecType type = static_cast<RecType>(*p++);
-      uint32_t vlen = 0;
-      p = GetVarint32(p, end, &vlen);
-      if (p == nullptr || static_cast<size_t>(end - p) < vlen) {
-        return Status::Corruption("bad data value in " + file_->path());
-      }
-      fn(k, type, std::string_view(p, vlen));
-      p += vlen;
-    }
-  }
-  return Status::Ok();
+  std::string block;
+  GADGET_RETURN_IF_ERROR(ReadBlockRaw(offset, size, &block));
+  return SearchBlock(block, key, value, operands, file_->path());
 }
 
 // -------------------------------------------------------------- SSTableIterator
@@ -427,25 +351,11 @@ void SSTableIterator::ParseEntry() {
     valid_ = false;
     return;
   }
-  uint32_t klen = 0;
-  pos_ = GetVarint32(pos_, end_, &klen);
-  if (pos_ == nullptr || static_cast<uint64_t>(end_ - pos_) < static_cast<uint64_t>(klen) + 1) {
-    status_ = Status::Corruption("bad iterator entry");
+  pos_ = DecodeEntry(pos_, end_, &key_, &type_, &value_);
+  if (pos_ == nullptr) {
+    status_ = Status::Corruption("bad data entry in " + reader_->path());
     valid_ = false;
-    return;
   }
-  key_ = std::string_view(pos_, klen);
-  pos_ += klen;
-  type_ = static_cast<RecType>(*pos_++);
-  uint32_t vlen = 0;
-  pos_ = GetVarint32(pos_, end_, &vlen);
-  if (pos_ == nullptr || static_cast<size_t>(end_ - pos_) < vlen) {
-    status_ = Status::Corruption("bad iterator value");
-    valid_ = false;
-    return;
-  }
-  value_ = std::string_view(pos_, vlen);
-  pos_ += vlen;
 }
 
 void SSTableIterator::Next() {

@@ -8,11 +8,10 @@
 //
 // Keys appear at most once per table (flush/compaction collapse per key), in
 // strictly increasing order. The index and bloom blocks are pinned in memory
-// by the reader; data blocks go through the shared BufferPool.
+// by the reader; LsmStore caches data blocks in the shared BufferPool.
 #ifndef GADGET_STORES_LSM_SSTABLE_H_
 #define GADGET_STORES_LSM_SSTABLE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -24,7 +23,6 @@
 #include "src/stores/bufferpool/buffer_pool.h"
 #include "src/stores/lsm/bloom.h"
 #include "src/stores/lsm/format.h"
-#include "src/stores/read_options.h"
 
 namespace gadget {
 
@@ -69,35 +67,27 @@ class SSTableBuilder {
 
 class SSTableReader {
  public:
-  // pool may be nullptr (standalone tooling/tests); the reader then reads
-  // uncached. With a pool, the reader claims a pool-global file id at Open
-  // and drops its blocks again on destruction.
+  // pool may be nullptr (standalone tooling/tests). With a pool, the reader
+  // claims a pool-global file id at Open for CacheLookup/CacheInsert and
+  // drops its blocks again on destruction.
   static StatusOr<std::shared_ptr<SSTableReader>> Open(const std::string& path,
                                                        uint64_t file_number, BufferPool* pool);
   ~SSTableReader();
   SSTableReader(const SSTableReader&) = delete;
   SSTableReader& operator=(const SSTableReader&) = delete;
 
-  // Point lookup. kNotFound: not in this table. kFound/kDeleted: terminal.
-  // kMergePartial: *operands filled (oldest-first).
+  // Uncached point lookup in this table alone (format tests, fuzzing):
+  // bloom, index, one block read with its CRC checked. kNotFound: not in this
+  // table. kFound/kDeleted: terminal. kMergePartial: *operands filled
+  // (oldest-first). LsmStore reads through its own walk and the pool.
   StatusOr<LookupState> Get(std::string_view key, std::string* value,
-                            std::vector<std::string>* operands,
-                            const ReadOptions& options = ReadOptions());
+                            std::vector<std::string>* operands) const;
 
-  // Sequential scan of every record, in key order (compaction input).
-  Status ForEach(
-      const std::function<void(std::string_view key, RecType type, std::string_view value)>& fn);
-
-  // --- async read-path support (the MultiGet wave in LsmStore) ---
+  // --- LsmStore's read walk ---
 
   // Locates the data block that may hold `key`. False when the bloom filter
   // or index proves the key absent (no I/O either way).
   bool FindDataBlock(std::string_view key, uint64_t* offset, uint32_t* size) const;
-
-  // Appends (offset, size) of up to `n` data blocks following the block at
-  // `offset` — the readahead window.
-  void BlocksAfter(uint64_t offset, uint32_t n,
-                   std::vector<std::pair<uint64_t, uint32_t>>* out) const;
 
   // Pool access for externally fetched blocks. Empty handle when poolless.
   PinnedBlock CacheLookup(uint64_t offset);
@@ -108,7 +98,8 @@ class SSTableReader {
   static Status VerifyAndStripChecksum(std::string* block, bool verify, const std::string& path);
 
   // Scans one decoded (CRC-stripped) data block for `key`; same contract as
-  // Get. `path` is only for error messages.
+  // Get. A malformed entry or an unknown record type on the way is
+  // Corruption. `path` is only for error messages.
   static StatusOr<LookupState> SearchBlock(std::string_view block, std::string_view key,
                                            std::string* value,
                                            std::vector<std::string>* operands,
@@ -125,9 +116,6 @@ class SSTableReader {
   SSTableReader(std::unique_ptr<RandomAccessFile> file, uint64_t file_number, BufferPool* pool);
 
   Status ReadBlockRaw(uint64_t offset, uint32_t size, std::string* out) const;
-  // Data block through the pool (sync path; issues readahead per `options`).
-  StatusOr<PinnedBlock> ReadDataBlock(uint64_t offset, uint32_t size, const ReadOptions& options,
-                                      std::string* uncached);
 
   std::unique_ptr<RandomAccessFile> file_;
   uint64_t file_number_;

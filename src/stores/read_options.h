@@ -1,10 +1,8 @@
 // Per-read knobs shared by every engine (KVStore::Get / MultiGet take one).
-// Kept in its own header so low-level readers (SSTable, btree pages) can use
-// it without pulling in the full KVStore interface.
+// Kept in its own header so low-level readers can use it without pulling in
+// the full KVStore interface.
 #ifndef GADGET_STORES_READ_OPTIONS_H_
 #define GADGET_STORES_READ_OPTIONS_H_
-
-#include <cstdint>
 
 namespace gadget {
 
@@ -15,10 +13,6 @@ struct ReadOptions {
   // Verify block CRCs on every pool miss. Disabling trades integrity checks
   // for read throughput (index/footer blocks are always verified at open).
   bool verify_checksums = true;
-  // On an SSTable block miss, fetch this many following blocks of the same
-  // table in the same I/O wave (0 = just the missed block). Only effective
-  // with fill_cache, since readahead exists to warm the pool.
-  uint32_t readahead_blocks = 0;
 };
 
 }  // namespace gadget

@@ -2,13 +2,15 @@
 // pin lifetime rules (pinned frames survive eviction pressure and file
 // erasure), clock-hand fairness, concurrent pin/unpin vs EraseFile races
 // (run under TSan in CI), both IoBackend read paths, async MultiGet
-// equivalence against serial Get on every engine, pool sharing across
-// stores, and cold-pool crash restore.
+// equivalence against serial Get on every engine, a corrupt block read
+// through the store, pool sharing across stores, and cold-pool crash
+// restore.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -352,6 +354,71 @@ TEST(ReadOptionsTest, NoFillLeavesPoolCold) {
 }
 
 // ------------------------------------------------------------ shared pool
+
+// A data block whose bytes no longer match its CRC, read through the store
+// on a fresh pool: that key's Get and MultiGet entry are Corruption while
+// keys elsewhere still resolve, and verify_checksums=false reads it anyway.
+TEST(ReadOptionsTest, CorruptBlockFailsOnlyItsReads) {
+  ScopedTempDir dir;
+  StoreOptions sopts;
+  sopts.engine = "lsm";
+  sopts.dir = dir.path() + "/db";
+  auto key_of = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "key%04d", i);
+    return std::string(key);
+  };
+  auto value_of = [](int i) { return "value-" + std::to_string(i) + std::string(100, '.'); };
+  {
+    auto store = OpenStore(sopts);
+    ASSERT_TRUE(store.ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE((*store)->Put(key_of(i), value_of(i)).ok());
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  // Flip one byte inside key0005's value, in the first data block of the
+  // store's one table.
+  auto names = ListDir(sopts.dir);
+  ASSERT_TRUE(names.ok());
+  std::string sst;
+  for (const std::string& name : *names) {
+    if (name.ends_with(".sst")) {
+      ASSERT_TRUE(sst.empty()) << "more than one table";
+      sst = sopts.dir + "/" + name;
+    }
+  }
+  ASSERT_FALSE(sst.empty());
+  std::string raw;
+  ASSERT_TRUE(ReadFileToString(sst, &raw).ok());
+  const size_t at = raw.find(value_of(5));
+  ASSERT_NE(at, std::string::npos);
+  raw[at] ^= 0x01;  // 'v' -> 'w'
+  ASSERT_TRUE(WriteStringToFile(sst, raw).ok());
+
+  auto store = OpenStore(sopts);  // its own, cold pool
+  ASSERT_TRUE(store.ok());
+  std::string value;
+  EXPECT_TRUE((*store)->Get(key_of(5), &value).IsCorruption());
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  const Status multi =
+      (*store)->MultiGet({key_of(5), key_of(150), "key-absent"}, &values, &statuses);
+  EXPECT_TRUE(multi.IsCorruption()) << multi.ToString();
+  ASSERT_EQ(statuses.size(), 3u);
+  EXPECT_TRUE(statuses[0].IsCorruption()) << statuses[0].ToString();
+  ASSERT_TRUE(statuses[1].ok()) << statuses[1].ToString();
+  EXPECT_EQ(values[1], value_of(150));
+  EXPECT_TRUE(statuses[2].IsNotFound()) << statuses[2].ToString();
+
+  ReadOptions unverified;
+  unverified.verify_checksums = false;
+  const Status s = (*store)->Get(key_of(5), &value, unverified);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(value, "w" + value_of(5).substr(1));
+  ASSERT_TRUE((*store)->Close().ok());
+}
 
 TEST(SharedPoolTest, TwoStoresShareOnePool) {
   ScopedTempDir dir;

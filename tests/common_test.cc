@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cerrno>
+#include <cstring>
 #include <set>
 
 #include "src/common/coding.h"
@@ -260,9 +262,20 @@ TEST(FileUtilTest, RandomAccessReads) {
   ASSERT_TRUE(PreadAll(fd, back.data(), back.size(), 5).ok());
   EXPECT_EQ(back, "abc");
   EXPECT_FALSE(PreadAll(fd, back.data(), back.size(), 9).ok());  // runs past EOF
-  ::close(fd);
   ASSERT_TRUE((*file)->Read(0, 10, &out).ok());
   EXPECT_EQ(out, "01234abc89");
+
+  // Truncate and SyncData on the same descriptor: the file shrinks.
+  ASSERT_TRUE(Truncate(fd, 4, path).ok());
+  ASSERT_TRUE(SyncData(fd, path).ok());
+  ::close(fd);
+  auto size = FileSize(path);
+  ASSERT_TRUE(size.ok());
+  EXPECT_EQ(*size, 4u);
+  // A failed call names the file and carries the errno text.
+  const Status bad = SyncData(-1, path);
+  EXPECT_NE(bad.message().find(path + ": " + std::strerror(EBADF)), std::string::npos)
+      << bad.ToString();
 }
 
 TEST(FileUtilTest, ScopedTempDirCleansUp) {

@@ -227,6 +227,9 @@ TEST(MalformedSSTableTest, SearchBlockRejectsVarintLengthWrap) {
       {"vlen_past_block",
        Varint32(1) + "k" + std::string(1, '\x01') + Varint32(99) + "v"},
       {"truncated_after_key", Varint32(1) + "k"},
+      // Record type 3 on the searched key: no writer emits it, so it is
+      // corruption, not a miss.
+      {"unknown_type", Varint32(1) + "k" + std::string(1, '\x03') + Varint32(1) + "v"},
   };
   for (const Case& c : kCases) {
     std::string value;

@@ -1,11 +1,16 @@
 // Tests for the pipelined LSM write path: the immutable-memtable queue (a
-// Put never flushes inline), read correctness across memtable layers,
-// cross-writer WAL group commit, graduated backpressure counters, and
-// parallel subcompactions.
+// Put never flushes inline), read correctness across memtable layers and
+// against a model in every layout, cross-writer WAL group commit, graduated
+// backpressure counters, and parallel subcompactions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <map>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/common/file_util.h"
 #include "src/common/rng.h"
@@ -119,6 +124,161 @@ TEST(LsmPipelineTest, ReadsResolveAcrossMemtableLayers) {
   lsm->TEST_PauseFlusher(false);
   ASSERT_TRUE((*store)->Flush().ok());
   verify();
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+// Every read path against a std::map model over one data set in four
+// layouts: the active memtable only, sealed immutables, several L0 files,
+// and after an L0->L1 compaction. Each phase reads every key and some absent
+// ones through Get and through MultiGet in batches of 1, 7 and 64 (with
+// duplicates), with and without pool admission. The pool holds four blocks,
+// so the reads both hit it and miss it.
+TEST(LsmPipelineTest, ReadsMatchModelInEveryLayout) {
+  ScopedTempDir dir;
+  LsmOptions opts = PipelineOptions();
+  opts.write_buffer_size = 64 * 1024;  // a round of ops stays in one memtable
+  opts.l0_compaction_trigger = 4;
+  BufferPoolOptions pool_opts;
+  pool_opts.capacity_bytes = 16 * 1024;
+  pool_opts.shards = 1;
+  auto store = LsmStore::Open(dir.path(), opts, std::make_shared<BufferPool>(pool_opts));
+  ASSERT_TRUE(store.ok());
+  auto* lsm = AsLsm(store);
+
+  // Put replaces, Merge appends bytes, Delete erases.
+  std::map<std::string, std::string> model;
+  auto put = [&](const std::string& key, const std::string& value) {
+    ASSERT_TRUE((*store)->Put(key, value).ok());
+    model[key] = value;
+  };
+  auto merge = [&](const std::string& key, const std::string& operand) {
+    ASSERT_TRUE((*store)->Merge(key, operand).ok());
+    model[key] += operand;
+  };
+  auto del = [&](const std::string& key) {
+    ASSERT_TRUE((*store)->Delete(key).ok());
+    model.erase(key);
+  };
+  constexpr uint32_t kKeys = 300;
+  auto key_of = [](uint32_t i) {
+    char key[8];
+    std::snprintf(key, sizeof(key), "k%03u", i);
+    return std::string(key);
+  };
+  Pcg32 rng(53);
+  auto random_ops = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::string key = key_of(rng.NextBounded(kKeys));
+      const uint32_t dice = rng.NextBounded(10);
+      if (dice < 4) {
+        put(key, std::string(8 + rng.NextBounded(120), static_cast<char>('a' + dice)));
+      } else if (dice < 8) {
+        merge(key, "+" + std::to_string(i));
+      } else {
+        del(key);
+      }
+    }
+  };
+
+  auto check = [&](const char* phase, const std::string& key, const Status& s,
+                   const std::string& got) {
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << phase << " " << key << ": " << s.ToString();
+    } else if (s.ok()) {
+      EXPECT_EQ(got, it->second) << phase << " " << key;
+    } else {
+      ADD_FAILURE() << phase << " " << key << ": " << s.ToString();
+    }
+  };
+  auto verify = [&](const char* phase) {
+    // The key space with every third key twice in a row, the keys outside
+    // it, and absent keys below, inside and above the key range.
+    std::vector<std::string> keys;
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      keys.push_back(key_of(i));
+      if (i % 3 == 0) {
+        keys.push_back(key_of(i));
+      }
+    }
+    for (const auto& entry : model) {
+      if (entry.first[0] != 'k') {
+        keys.push_back(entry.first);
+      }
+    }
+    keys.insert(keys.end(), {"a-absent", "k150x", "zz-absent"});
+    for (bool fill : {true, false}) {
+      ReadOptions ropts;
+      ropts.fill_cache = fill;
+      for (const std::string& key : keys) {
+        std::string got;
+        check(phase, key, (*store)->Get(key, &got, ropts), got);
+      }
+      for (size_t batch : {1, 7, 64}) {
+        for (size_t at = 0; at < keys.size(); at += batch) {
+          const std::vector<std::string> chunk(
+              keys.begin() + static_cast<std::ptrdiff_t>(at),
+              keys.begin() + static_cast<std::ptrdiff_t>(std::min(keys.size(), at + batch)));
+          std::vector<std::string> values;
+          std::vector<Status> statuses;
+          EXPECT_TRUE((*store)->MultiGet(chunk, &values, &statuses, ropts).ok()) << phase;
+          for (size_t i = 0; i < chunk.size(); ++i) {
+            check(phase, chunk[i], statuses[i], values[i]);
+          }
+        }
+      }
+    }
+  };
+
+  // 1. The active memtable only.
+  lsm->TEST_PauseFlusher(true);
+  put("chain", "base");
+  put("tomb", "old");
+  random_ops(300);
+  ASSERT_EQ(lsm->TEST_NumImmutables(), 0u);
+  verify("memtable");
+
+  // 2. Two sealed immutables under the active memtable.
+  SealMemtables(store->get(), lsm, 1, "seal-a", &model);
+  merge("chain", "+imm");
+  random_ops(300);
+  SealMemtables(store->get(), lsm, 2, "seal-b", &model);
+  random_ops(100);
+  ASSERT_EQ(lsm->NumFilesAtLevel(0), 0);
+  verify("immutables");
+
+  // 3. The queue and the memtable flushed into three L0 files.
+  lsm->TEST_PauseFlusher(false);
+  ASSERT_TRUE((*store)->Flush().ok());
+  ASSERT_EQ(lsm->NumFilesAtLevel(0), 3);
+  ASSERT_EQ(lsm->stats().compactions, 0u);
+  verify("L0");
+
+  // 4. A fourth L0 file triggers the L0->L1 compaction. Then one L0 file and
+  // the memtable go on top: a merge chain spans memtable, L0 and L1, and an
+  // L0 tombstone sits under later merges.
+  merge("chain", "+l1");
+  random_ops(300);
+  ASSERT_TRUE((*store)->Flush().ok());
+  for (int i = 0; lsm->stats().compactions == 0 || lsm->NumFilesAtLevel(0) > 0; ++i) {
+    ASSERT_LT(i, 2000) << "the L0->L1 compaction never ran";
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_GT(lsm->NumFilesAtLevel(1), 0);
+  merge("chain", "+l0");
+  del("tomb");
+  random_ops(150);
+  ASSERT_TRUE((*store)->Flush().ok());
+  merge("chain", "+mem");
+  merge("tomb", "+after");
+  random_ops(150);
+  ASSERT_EQ(model["chain"], "base+imm+l1+l0+mem");
+  ASSERT_EQ(model["tomb"], "+after");
+  verify("L1");
+
+  const StoreStats stats = lsm->stats();
+  EXPECT_GT(stats.io_batches, 0u);  // the miss path ran...
+  EXPECT_GT(stats.cache_hits, 0u);  // ...and so did the pool-hit path
   ASSERT_TRUE((*store)->Close().ok());
 }
 
