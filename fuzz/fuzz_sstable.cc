@@ -7,7 +7,6 @@
 // and point lookups.
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "fuzz/fuzz_util.h"
 #include "src/stores/lsm/sstable.h"
@@ -20,7 +19,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     // A short fuzz-chosen key, then the block content.
     std::string key(slicer.TakeBytes(slicer.TakeU8() % 16));
     std::string value;
-    std::vector<std::string> operands;
+    gadget::Operands operands;
     // status intentionally ignored: corrupt blocks must fail cleanly.
     (void)gadget::SSTableReader::SearchBlock(slicer.TakeRest(), key, &value, &operands, "fuzz");
     return 0;
@@ -39,7 +38,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // ...and a couple of point lookups through bloom + index + block search.
   for (std::string_view key : {std::string_view("k"), std::string_view("\xff\xff")}) {
     std::string value;
-    std::vector<std::string> operands;
+    gadget::Operands operands;
     // status intentionally ignored: corrupt tables must fail lookups cleanly.
     (void)(*reader)->Get(key, &value, &operands);
   }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/coding.h"
 #include "src/common/file_util.h"
 #include "src/common/json.h"
 #include "src/server/wire.h"
@@ -157,7 +158,7 @@ bool GenSSTable(const std::string& root) {
   std::string seeded = "\x01" + FileBytes(path);
   // Mode byte 0 = direct SearchBlock: key length 2, key "k1", then a tiny
   // hand-assembled block (varint klen | key | type | varint vlen | value).
-  auto direct = [](char type) {
+  auto direct = [](char type, std::string_view value) {
     std::string bytes;
     bytes.push_back('\x00');
     bytes.push_back(2);  // fuzz key length selector
@@ -165,14 +166,21 @@ bool GenSSTable(const std::string& root) {
     bytes.push_back(2);  // klen
     bytes += "k1";
     bytes.push_back(type);
-    bytes.push_back(2);  // vlen
-    bytes += "v1";
+    bytes.push_back(static_cast<char>(value.size()));  // vlen
+    bytes += value;
     return bytes;
   };
+  // A merge stack of three operands, the middle one empty: the shape of the
+  // stacks in older tables, which wrote one operand per merge.
+  std::string stack;
+  for (std::string_view op : {"a", "", "bc"}) {
+    PutLengthPrefixed(&stack, op);
+  }
   return Emit(root, "sstable", "small_table", seeded) &&
-         Emit(root, "sstable", "search_block", direct(1)) &&  // RecType::kValue
+         Emit(root, "sstable", "search_block", direct(1, "v1")) &&  // RecType::kValue
          // A record type no writer emits: SearchBlock must call it corruption.
-         Emit(root, "sstable", "search_block_unknown_type", direct(3));
+         Emit(root, "sstable", "search_block_unknown_type", direct(3, "v1")) &&
+         Emit(root, "sstable", "search_block_merge_stack", direct(2, stack));
 }
 
 bool GenTrace(const std::string& root) {

@@ -1,5 +1,6 @@
-// CRC32C (Castagnoli) checksums protecting on-disk blocks (SSTables, WAL,
-// B+tree pages, hybrid-log segments).
+// CRC32C (Castagnoli) checksums protecting on-disk data: SSTable blocks, WAL
+// records and trace files. Computed with the SSE4.2 `crc32` instruction when
+// the CPU has it, otherwise with a table.
 #ifndef GADGET_COMMON_CRC32C_H_
 #define GADGET_COMMON_CRC32C_H_
 
@@ -13,6 +14,10 @@ namespace gadget {
 uint32_t Crc32c(uint32_t crc, const void* data, size_t len);
 
 inline uint32_t Crc32c(std::string_view s) { return Crc32c(0, s.data(), s.size()); }
+
+// The table-driven implementation Crc32c falls back to. Exposed only so the
+// tests can check the hardware path against it.
+uint32_t Crc32cPortable(uint32_t crc, const void* data, size_t len);
 
 // Masked CRC (RocksDB-style) so that checksums of data that happens to
 // contain embedded CRCs remain well distributed.

@@ -479,29 +479,27 @@ void LsmStore::ApplyOpLocked(RecType type, std::string_view key, std::string_vie
 // -------------------------------------------------------------------- reads
 
 LookupState LsmStore::LookupMemLayersLocked(std::string_view key, std::string* value,
-                                            std::vector<std::string>* acc) const {
-  std::string val;
-  std::vector<std::string> layer_ops;
+                                            Operands* acc) const {
   auto probe = [&](const MemTable& m) -> LookupState {
-    val.clear();
-    layer_ops.clear();
-    LookupState state = m.Get(key, &val, &layer_ops);
+    std::string_view bytes;
+    LookupState state = m.Get(key, &bytes);
     switch (state) {
       case LookupState::kFound:
         // This layer resolves the base; operands from newer layers apply on
         // top of it.
-        *value = acc->empty() ? std::move(val) : ApplyMerge(val, *acc);
+        value->reserve(bytes.size() + acc->bytes.size());
+        value->assign(bytes);
+        value->append(acc->bytes);
         return LookupState::kFound;
       case LookupState::kDeleted:
-        if (acc->empty()) {
+        if (!acc->any) {
           return LookupState::kDeleted;
         }
-        *value = ApplyMerge("", *acc);
+        value->swap(acc->bytes);
         return LookupState::kFound;
       case LookupState::kMergePartial:
         // This layer is older than everything accumulated so far: prepend.
-        acc->insert(acc->begin(), std::make_move_iterator(layer_ops.begin()),
-                    std::make_move_iterator(layer_ops.end()));
+        acc->Prepend(bytes);
         return LookupState::kMergePartial;
       case LookupState::kNotFound:
         return LookupState::kNotFound;
@@ -518,7 +516,7 @@ LookupState LsmStore::LookupMemLayersLocked(std::string_view key, std::string* v
       return state;
     }
   }
-  return acc->empty() ? LookupState::kNotFound : LookupState::kMergePartial;
+  return acc->any ? LookupState::kMergePartial : LookupState::kNotFound;
 }
 
 Status LsmStore::Get(std::string_view key, std::string* value, const ReadOptions& options) {
@@ -628,20 +626,19 @@ void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size
     return nullptr;
   };
 
-  // Resolves `r`. A table's base value is already in *r->value; a tombstone
-  // or the end of the walk supplies an empty base instead, and with no
-  // operands to apply to it the key is absent.
+  // Resolves `r`. A table's base value is already in *r->value and the
+  // operands go after it; a tombstone or the end of the walk supplies an
+  // empty base instead, so the operands are the value, and with no operands
+  // to apply to it the key is absent.
   auto finish = [&](KeyRead* r, bool has_base) {
     r->done = true;
-    if (!has_base) {
-      if (r->acc.empty()) {
-        *r->status = Status::NotFound();
-        return;
-      }
-      r->value->clear();
-    }
-    for (const std::string& op : r->acc) {
-      r->value->append(op);
+    if (has_base) {
+      r->value->append(r->acc.bytes);
+    } else if (r->acc.any) {
+      r->value->swap(r->acc.bytes);
+    } else {
+      *r->status = Status::NotFound();
+      return;
     }
     read_bytes_.fetch_add(r->value->size(), std::memory_order_relaxed);
   };
@@ -651,11 +648,9 @@ void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size
   };
   // Applies one table's data block: a value or a tombstone resolves the key,
   // and operands from this table, older than every one stacked so far, go
-  // in front of them.
-  std::vector<std::string> ops;
+  // in front of them (SearchBlock puts them there).
   auto apply_block = [&](KeyRead* r, std::string_view block, const std::string& path) {
-    ops.clear();
-    auto st = SSTableReader::SearchBlock(block, r->key, r->value, &ops, path);
+    auto st = SSTableReader::SearchBlock(block, r->key, r->value, &r->acc, path);
     if (!st.ok()) {
       fail(r, st.status());
       return;
@@ -670,8 +665,6 @@ void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size
         finish(r, /*has_base=*/false);
         break;
       case LookupState::kMergePartial:
-        r->acc.insert(r->acc.begin(), std::make_move_iterator(ops.begin()),
-                      std::make_move_iterator(ops.end()));
         break;
     }
   };
@@ -1153,7 +1146,7 @@ Status LsmStore::RunSubcompaction(const CompactionJob& job, std::string_view beg
   };
 
   uint64_t emitted_bytes = 0;
-  std::vector<std::string> pending;
+  Operands pending;
   std::string merged_value;
 
   for (;;) {
@@ -1175,7 +1168,8 @@ Status LsmStore::RunSubcompaction(const CompactionJob& job, std::string_view beg
     const std::string key(min_key);  // own it: iterators advance below
 
     // Combine records for this key, newest input first.
-    pending.clear();
+    pending.bytes.clear();
+    pending.any = false;
     bool resolved = false;
     bool drop = false;
     RecType out_type = RecType::kValue;
@@ -1190,13 +1184,14 @@ Status LsmStore::RunSubcompaction(const CompactionJob& job, std::string_view beg
       if (!resolved) {
         switch (it->type()) {
           case RecType::kValue:
-            merged_value = ApplyMerge(it->value(), pending);
+            merged_value.assign(it->value());
+            merged_value.append(pending.bytes);
             out_type = RecType::kValue;
             resolved = true;
             break;
           case RecType::kTombstone:
             tomb_created = files[i]->created_ms;
-            if (pending.empty()) {
+            if (!pending.any) {
               if (job.bottommost) {
                 drop = true;
               } else {
@@ -1205,20 +1200,17 @@ Status LsmStore::RunSubcompaction(const CompactionJob& job, std::string_view beg
               }
             } else {
               out_type = RecType::kValue;
-              merged_value = ApplyMerge("", pending);
+              merged_value.swap(pending.bytes);
             }
             resolved = true;
             break;
-          case RecType::kMergeStack: {
-            std::vector<std::string> ops;
-            if (!DecodeMergeStack(it->value(), &ops)) {
+          case RecType::kMergeStack:
+            // This record is older than everything in `pending`: its
+            // operands go in front.
+            if (!DecodeMergeStack(it->value(), &pending)) {
               return Status::Corruption("bad merge stack during compaction");
             }
-            // This record is older than everything in `pending`.
-            pending.insert(pending.begin(), std::make_move_iterator(ops.begin()),
-                           std::make_move_iterator(ops.end()));
             break;
-          }
         }
       }
       it->Next();
@@ -1230,10 +1222,14 @@ Status LsmStore::RunSubcompaction(const CompactionJob& job, std::string_view beg
     if (!resolved) {
       if (job.bottommost) {
         out_type = RecType::kValue;
-        merged_value = ApplyMerge("", pending);
+        merged_value.swap(pending.bytes);
       } else {
+        // The operands as one; a stack that held none (no writer emits
+        // one) stays empty.
         out_type = RecType::kMergeStack;
-        merged_value = EncodeMergeStack(pending);
+        if (pending.any) {
+          EncodeMergeStack(pending.bytes, &merged_value);
+        }
       }
     }
     if (!drop) {

@@ -147,16 +147,17 @@ class LsmStore : public KVStore {
   // Probes active memtable then immutables newest-first. kFound/kDeleted are
   // terminal (*value set for kFound); kNotFound/kMergePartial mean the caller
   // must continue into the SSTables with the accumulated operands in *acc.
+  // Copies out of the memtables: no view into them outlives mu_.
   LookupState LookupMemLayersLocked(std::string_view key, std::string* value,
-                                    std::vector<std::string>* acc) const REQUIRES(mu_);
+                                    Operands* acc) const REQUIRES(mu_);
   // One key on its way through the SSTables: where its answer lands, the
-  // merge operands the newer layers stacked (oldest first), and a cursor
-  // over its candidate tables.
+  // merge operands the newer layers stacked (oldest first, as one byte
+  // string), and a cursor over its candidate tables.
   struct KeyRead {
     std::string_view key;
     std::string* value = nullptr;
     Status* status = nullptr;
-    std::vector<std::string> acc;
+    Operands acc;
     // Next slot of the shadowing order: L0 newest first, then one slot per
     // lower level.
     size_t next_table = 0;

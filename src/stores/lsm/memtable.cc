@@ -2,77 +2,62 @@
 
 namespace gadget {
 
-void MemTable::Put(std::string_view key, std::string_view value) {
+MemTable::Entry& MemTable::Slot(std::string_view key) {
   auto it = table_.find(key);
   if (it == table_.end()) {
-    it = table_.emplace(std::string(key), Entry{}).first;
+    // A new entry is an empty operand list, which each write then replaces
+    // or appends to.
+    it = table_.emplace(std::string(key), Entry{RecType::kMergeStack, {}}).first;
     bytes_ += key.size() + 32;
-  } else {
-    bytes_ -= it->second.base.size();
-    for (const std::string& op : it->second.operands) {
-      bytes_ -= op.size();
-    }
-    if (it->second.has_base && it->second.base_type == RecType::kTombstone) {
-      --tombstones_;
-    }
   }
-  Entry& e = it->second;
-  e.has_base = true;
-  e.base_type = RecType::kValue;
-  e.base.assign(value.data(), value.size());
-  e.operands.clear();
+  return it->second;
+}
+
+void MemTable::Put(std::string_view key, std::string_view value) {
+  Entry& e = Slot(key);
+  bytes_ -= e.bytes.size();
+  e.type = RecType::kValue;
+  // A fresh string, not assign(): a larger superseded buffer is freed.
+  e.bytes = std::string(value);
   bytes_ += value.size();
 }
 
 void MemTable::Merge(std::string_view key, std::string_view operand) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    it = table_.emplace(std::string(key), Entry{}).first;
-    bytes_ += key.size() + 32;
+  Entry& e = Slot(key);
+  if (e.type == RecType::kTombstone) {
+    // Deleted, then merged: the operand on an empty base is a full value,
+    // which shadows older layers.
+    e.type = RecType::kValue;
   }
-  it->second.operands.emplace_back(operand);
+  e.bytes.append(operand);
   bytes_ += operand.size() + 8;
 }
 
 void MemTable::Delete(std::string_view key) {
-  auto it = table_.find(key);
-  if (it == table_.end()) {
-    it = table_.emplace(std::string(key), Entry{}).first;
-    bytes_ += key.size() + 32;
-  } else {
-    bytes_ -= it->second.base.size();
-    for (const std::string& op : it->second.operands) {
-      bytes_ -= op.size();
-    }
-    if (it->second.has_base && it->second.base_type == RecType::kTombstone) {
-      --tombstones_;
-    }
-  }
-  Entry& e = it->second;
-  e.has_base = true;
-  e.base_type = RecType::kTombstone;
-  e.base.clear();
-  e.operands.clear();
-  ++tombstones_;
+  Entry& e = Slot(key);
+  bytes_ -= e.bytes.size();
+  e.type = RecType::kTombstone;
+  // Free the buffer: sliding windows delete every key and never write it
+  // again, so a kept capacity would only hold memory until the flush.
+  std::string().swap(e.bytes);
 }
 
-LookupState MemTable::Get(std::string_view key, std::string* value,
-                          std::vector<std::string>* operands) const {
+LookupState MemTable::Get(std::string_view key, std::string_view* value) const {
   auto it = table_.find(key);
   if (it == table_.end()) {
     return LookupState::kNotFound;
   }
   const Entry& e = it->second;
-  if (e.has_base) {
-    if (e.base_type == RecType::kTombstone && e.operands.empty()) {
+  *value = e.bytes;
+  switch (e.type) {
+    case RecType::kTombstone:
       return LookupState::kDeleted;
-    }
-    std::string_view base = e.base_type == RecType::kValue ? std::string_view(e.base) : "";
-    *value = ApplyMerge(base, e.operands);
-    return LookupState::kFound;
+    case RecType::kValue:
+      return LookupState::kFound;
+    case RecType::kMergeStack:
+      return LookupState::kMergePartial;
   }
-  operands->insert(operands->end(), e.operands.begin(), e.operands.end());
-  return LookupState::kMergePartial;
+  return LookupState::kNotFound;
 }
 
 }  // namespace gadget

@@ -1,15 +1,22 @@
-// Sorted in-memory write buffer.
+// In-memory write buffer: a hash index from key to one record, sorted once,
+// when the memtable is flushed.
 //
 // Entries collapse eagerly where legal: Put and Delete supersede everything
-// older *within this memtable*, so only the latest base plus subsequent merge
-// operands are kept per key. Keys with operands but no base must remain lazy
-// (kMergeStack) so older levels supply the base.
+// older *within this memtable*, and a merge appends its operand to the key's
+// one byte string. A key holds a full value (kValue), a tombstone
+// (kTombstone), or operands with no base (kMergeStack), which must stay lazy
+// so older levels supply the base.
+//
+// Nothing reads the memtable in key order except the flush: the store has
+// point reads only (range scans are deferred, DESIGN.md §5e).
 #ifndef GADGET_STORES_LSM_MEMTABLE_H_
 #define GADGET_STORES_LSM_MEMTABLE_H_
 
-#include <map>
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/stores/lsm/format.h"
@@ -24,56 +31,71 @@ class MemTable {
   void Merge(std::string_view key, std::string_view operand);
   void Delete(std::string_view key);
 
-  // Point lookup. On kFound, *value is the fully assembled value from this
-  // memtable. On kMergePartial, *operands receives this memtable's operands
-  // (oldest-first) and the caller must continue searching older data.
-  LookupState Get(std::string_view key, std::string* value,
-                  std::vector<std::string>* operands) const;
+  // Point lookup. kFound: *value views the full value (base plus this
+  // memtable's operands). kMergePartial: *value views this memtable's
+  // operands, oldest first, possibly empty; the caller must continue into
+  // older data. The view lives until the next write to this memtable.
+  LookupState Get(std::string_view key, std::string_view* value) const;
 
-  // Approximate memory footprint in bytes.
+  // Approximate memory footprint in bytes: key + 32 per key, plus the value
+  // bytes, plus operand + 8 per merge.
   uint64_t ApproximateBytes() const { return bytes_; }
   bool empty() const { return table_.empty(); }
   size_t num_keys() const { return table_.size(); }
 
-  // Flush support: emits (key, type, serialized value) in key order. The
-  // serialized value for kMergeStack is EncodeMergeStack(operands).
+  // Flush support: emits (key, type, serialized value) in key order. A
+  // kMergeStack value is the key's operands encoded as one stack operand.
+  // The views live until `fn` returns.
   struct FlushRecord {
     std::string_view key;
     RecType type;
-    std::string value;
+    std::string_view value;
   };
   template <typename Fn>
   void ForEachFlushRecord(Fn&& fn) const {
-    for (const auto& [key, entry] : table_) {
-      if (!entry.has_base) {
-        fn(FlushRecord{key, RecType::kMergeStack, EncodeMergeStack(entry.operands)});
-      } else if (entry.base_type == RecType::kTombstone && entry.operands.empty()) {
-        fn(FlushRecord{key, RecType::kTombstone, std::string()});
+    std::vector<const Table::value_type*> sorted;
+    sorted.reserve(table_.size());
+    for (const auto& slot : table_) {
+      sorted.push_back(&slot);
+    }
+    std::sort(sorted.begin(), sorted.end(),
+              [](const Table::value_type* a, const Table::value_type* b) {
+                return a->first < b->first;
+              });
+    std::string stack;
+    for (const Table::value_type* slot : sorted) {
+      const Entry& e = slot->second;
+      if (e.type == RecType::kMergeStack) {
+        stack.clear();
+        EncodeMergeStack(e.bytes, &stack);
+        fn(FlushRecord{slot->first, e.type, stack});
       } else {
-        // Base (possibly deleted->empty) plus operands collapses to a full
-        // value, which legally shadows all older records.
-        std::string_view base;
-        if (entry.base_type == RecType::kValue) {
-          base = entry.base;
-        }
-        fn(FlushRecord{key, RecType::kValue, ApplyMerge(base, entry.operands)});
+        fn(FlushRecord{slot->first, e.type, e.bytes});
       }
     }
   }
 
-  uint64_t tombstone_count() const { return tombstones_; }
-
  private:
   struct Entry {
-    bool has_base = false;
-    RecType base_type = RecType::kValue;
-    std::string base;
-    std::vector<std::string> operands;  // oldest first
+    RecType type = RecType::kValue;
+    // kValue: the full value. kMergeStack: the operands, oldest first.
+    // kTombstone: empty, with no buffer.
+    std::string bytes;
   };
+  // Transparent, so probes hash a string_view without building a key. Not
+  // noexcept, so libstdc++ keeps each key's hash in its node: rehashing and
+  // walking a bucket then never rehash a key.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const { return std::hash<std::string_view>{}(key); }
+  };
+  using Table = std::unordered_map<std::string, Entry, Hash, std::equal_to<>>;
 
-  std::map<std::string, Entry, std::less<>> table_;
+  // The key's entry, created (and counted) if absent.
+  Entry& Slot(std::string_view key);
+
+  Table table_;
   uint64_t bytes_ = 0;
-  uint64_t tombstones_ = 0;
 };
 
 }  // namespace gadget

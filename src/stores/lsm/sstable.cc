@@ -272,8 +272,7 @@ PinnedBlock SSTableReader::CacheInsert(uint64_t offset, std::string block) {
 }
 
 StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::string_view key,
-                                                 std::string* value,
-                                                 std::vector<std::string>* operands,
+                                                 std::string* value, Operands* operands,
                                                  const std::string& path) {
   const char* p = block.data();
   const char* end = p + block.size();
@@ -307,7 +306,7 @@ StatusOr<LookupState> SSTableReader::SearchBlock(std::string_view block, std::st
 }
 
 StatusOr<LookupState> SSTableReader::Get(std::string_view key, std::string* value,
-                                         std::vector<std::string>* operands) const {
+                                         Operands* operands) const {
   uint64_t offset = 0;
   uint32_t size = 0;
   if (!FindDataBlock(key, &offset, &size)) {

@@ -78,10 +78,12 @@ class SSTableReader {
 
   // Uncached point lookup in this table alone (format tests, fuzzing):
   // bloom, index, one block read with its CRC checked. kNotFound: not in this
-  // table. kFound/kDeleted: terminal. kMergePartial: *operands filled
-  // (oldest-first). LsmStore reads through its own walk and the pool.
+  // table. kFound: *value is the record's value. kDeleted: terminal.
+  // kMergePartial: the table's operands went in front of *operands (they are
+  // older than every operand already there). LsmStore reads through its own
+  // walk and the pool.
   StatusOr<LookupState> Get(std::string_view key, std::string* value,
-                            std::vector<std::string>* operands) const;
+                            Operands* operands) const;
 
   // --- LsmStore's read walk ---
 
@@ -101,8 +103,7 @@ class SSTableReader {
   // Get. A malformed entry or an unknown record type on the way is
   // Corruption. `path` is only for error messages.
   static StatusOr<LookupState> SearchBlock(std::string_view block, std::string_view key,
-                                           std::string* value,
-                                           std::vector<std::string>* operands,
+                                           std::string* value, Operands* operands,
                                            const std::string& path);
 
   uint64_t num_entries() const { return num_entries_; }

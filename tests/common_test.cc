@@ -111,6 +111,56 @@ TEST(Crc32cTest, Incremental) {
   EXPECT_EQ(whole, part);
 }
 
+TEST(Crc32cTest, Rfc3720Vectors) {
+  // RFC 3720 appendix B.4, through the chosen implementation and the table.
+  std::string zeros(32, '\x00');
+  std::string ones(32, '\xff');
+  std::string up(32, '\0');
+  std::string down(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    up[static_cast<size_t>(i)] = static_cast<char>(i);
+    down[static_cast<size_t>(i)] = static_cast<char>(31 - i);
+  }
+  const std::pair<const std::string*, uint32_t> kVectors[] = {
+      {&zeros, 0x8a9136aau}, {&ones, 0x62a8ab43u}, {&up, 0x46dd794eu}, {&down, 0x113fdb5cu}};
+  for (const auto& [bytes, want] : kVectors) {
+    EXPECT_EQ(Crc32c(*bytes), want);
+    EXPECT_EQ(Crc32cPortable(0, bytes->data(), bytes->size()), want);
+  }
+}
+
+TEST(Crc32cTest, HardwareMatchesTable) {
+#if defined(__x86_64__)
+  const bool hardware = __builtin_cpu_supports("sse4.2");
+#else
+  const bool hardware = false;
+#endif
+  if (!hardware) {
+    GTEST_SKIP() << "no SSE4.2: Crc32c is the table";
+  }
+  // Every length 0-300 from every start offset mod 8, so the 8-byte loop
+  // sees unaligned loads and the byte tail every length it can have; then
+  // every split of a chained computation.
+  Pcg32 rng(3720);
+  std::string buf(8 + 300, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng.NextU32());
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const char* p = buf.data() + offset;
+      ASSERT_EQ(Crc32c(0, p, len), Crc32cPortable(0, p, len)) << offset << "+" << len;
+      ASSERT_EQ(Crc32c(0x12345678u, p, len), Crc32cPortable(0x12345678u, p, len))
+          << offset << "+" << len;
+    }
+  }
+  const char* p = buf.data() + 3;
+  const uint32_t whole = Crc32cPortable(0, p, 300);
+  for (size_t split = 0; split <= 300; ++split) {
+    ASSERT_EQ(Crc32c(Crc32c(0, p, split), p + split, 300 - split), whole) << split;
+  }
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Pcg32 a(123), b(123);
   for (int i = 0; i < 100; ++i) {

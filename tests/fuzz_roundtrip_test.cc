@@ -43,7 +43,9 @@ TEST_P(FormatFuzzTest, SstableRandomRecordsRoundTrip) {
     RecType type = static_cast<RecType>(rng.NextBounded(3));
     std::string value = type == RecType::kTombstone ? "" : RandomBytes(rng, 3000);
     if (type == RecType::kMergeStack) {
-      value = EncodeMergeStack({value});
+      std::string stack;
+      EncodeMergeStack(value, &stack);
+      value = std::move(stack);
     }
     records[key] = {type, value};
   }
@@ -70,9 +72,8 @@ TEST_P(FormatFuzzTest, SstableRandomRecordsRoundTrip) {
   EXPECT_EQ(it, records.end());
   // Random point lookups agree too.
   std::string value;
-  std::vector<std::string> ops;
   for (const auto& [key, rec] : records) {
-    ops.clear();
+    Operands ops;
     auto st = (*reader)->Get(key, &value, &ops);
     ASSERT_TRUE(st.ok());
     switch (rec.first) {
@@ -83,9 +84,14 @@ TEST_P(FormatFuzzTest, SstableRandomRecordsRoundTrip) {
       case RecType::kTombstone:
         ASSERT_EQ(*st, LookupState::kDeleted);
         break;
-      case RecType::kMergeStack:
+      case RecType::kMergeStack: {
         ASSERT_EQ(*st, LookupState::kMergePartial);
+        Operands expected;
+        ASSERT_TRUE(DecodeMergeStack(rec.second, &expected));
+        EXPECT_EQ(ops.bytes, expected.bytes);
+        EXPECT_TRUE(ops.any);
         break;
+      }
     }
   }
 }
@@ -233,7 +239,7 @@ TEST(MalformedSSTableTest, SearchBlockRejectsVarintLengthWrap) {
   };
   for (const Case& c : kCases) {
     std::string value;
-    std::vector<std::string> operands;
+    Operands operands;
     auto st = SSTableReader::SearchBlock(c.block, "k", &value, &operands, c.name);
     EXPECT_FALSE(st.ok()) << c.name;
   }

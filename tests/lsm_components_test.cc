@@ -2,7 +2,12 @@
 // SSTable builder/reader/iterator, WAL, manifest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
+#include "src/common/coding.h"
 #include "src/common/file_util.h"
+#include "src/common/rng.h"
 #include "src/stores/bufferpool/buffer_pool.h"
 #include "src/stores/lsm/bloom.h"
 #include "src/stores/lsm/memtable.h"
@@ -94,20 +99,18 @@ TEST(BufferPoolCacheTest, EraseFileDropsBlocks) {
 TEST(MemTableTest, PutGet) {
   MemTable mem;
   mem.Put("a", "1");
-  std::string value;
-  std::vector<std::string> ops;
-  EXPECT_EQ(mem.Get("a", &value, &ops), LookupState::kFound);
+  std::string_view value;
+  EXPECT_EQ(mem.Get("a", &value), LookupState::kFound);
   EXPECT_EQ(value, "1");
-  EXPECT_EQ(mem.Get("b", &value, &ops), LookupState::kNotFound);
+  EXPECT_EQ(mem.Get("b", &value), LookupState::kNotFound);
 }
 
 TEST(MemTableTest, DeleteShadowsPut) {
   MemTable mem;
   mem.Put("a", "1");
   mem.Delete("a");
-  std::string value;
-  std::vector<std::string> ops;
-  EXPECT_EQ(mem.Get("a", &value, &ops), LookupState::kDeleted);
+  std::string_view value;
+  EXPECT_EQ(mem.Get("a", &value), LookupState::kDeleted);
 }
 
 TEST(MemTableTest, MergeOnBaseCollapses) {
@@ -115,9 +118,8 @@ TEST(MemTableTest, MergeOnBaseCollapses) {
   mem.Put("a", "base");
   mem.Merge("a", "+1");
   mem.Merge("a", "+2");
-  std::string value;
-  std::vector<std::string> ops;
-  EXPECT_EQ(mem.Get("a", &value, &ops), LookupState::kFound);
+  std::string_view value;
+  EXPECT_EQ(mem.Get("a", &value), LookupState::kFound);
   EXPECT_EQ(value, "base+1+2");
 }
 
@@ -125,12 +127,13 @@ TEST(MemTableTest, MergeWithoutBaseIsPartial) {
   MemTable mem;
   mem.Merge("a", "x");
   mem.Merge("a", "y");
-  std::string value;
-  std::vector<std::string> ops;
-  EXPECT_EQ(mem.Get("a", &value, &ops), LookupState::kMergePartial);
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0], "x");
-  EXPECT_EQ(ops[1], "y");
+  mem.Merge("empty", "");
+  std::string_view value;
+  EXPECT_EQ(mem.Get("a", &value), LookupState::kMergePartial);
+  EXPECT_EQ(value, "xy");  // the operands, oldest first, as one string
+  // An empty operand is still an operand, not an absent key.
+  EXPECT_EQ(mem.Get("empty", &value), LookupState::kMergePartial);
+  EXPECT_EQ(value, "");
 }
 
 TEST(MemTableTest, MergeAfterDelete) {
@@ -138,9 +141,8 @@ TEST(MemTableTest, MergeAfterDelete) {
   mem.Put("a", "old");
   mem.Delete("a");
   mem.Merge("a", "new");
-  std::string value;
-  std::vector<std::string> ops;
-  EXPECT_EQ(mem.Get("a", &value, &ops), LookupState::kFound);
+  std::string_view value;
+  EXPECT_EQ(mem.Get("a", &value), LookupState::kFound);
   EXPECT_EQ(value, "new");
 }
 
@@ -149,25 +151,96 @@ TEST(MemTableTest, FlushRecordTypes) {
   mem.Put("full", "v");
   mem.Delete("gone");
   mem.Merge("lazy", "op");
+  mem.Merge("lazy", "");
+  mem.Merge("lazy", "2");
   mem.Put("merged", "v");
   mem.Merge("merged", "+");
+  mem.Merge("revived", "x");
+  mem.Delete("revived");
+  mem.Merge("revived", "y");
   std::map<std::string, std::pair<RecType, std::string>> records;
   mem.ForEachFlushRecord([&](const MemTable::FlushRecord& rec) {
-    records[std::string(rec.key)] = {rec.type, rec.value};
+    records[std::string(rec.key)] = {rec.type, std::string(rec.value)};
   });
-  ASSERT_EQ(records.size(), 4u);
+  ASSERT_EQ(records.size(), 5u);
   EXPECT_EQ(records["full"].first, RecType::kValue);
   EXPECT_EQ(records["gone"].first, RecType::kTombstone);
+  EXPECT_EQ(records["gone"].second, "");
+  // The key's operands flush as one stack operand.
   EXPECT_EQ(records["lazy"].first, RecType::kMergeStack);
+  EXPECT_EQ(records["lazy"].second, std::string("\x03op2", 4));
+  Operands decoded;
+  ASSERT_TRUE(DecodeMergeStack(records["lazy"].second, &decoded));
+  EXPECT_EQ(decoded.bytes, "op2");
   EXPECT_EQ(records["merged"].first, RecType::kValue);
   EXPECT_EQ(records["merged"].second, "v+");
+  // Deleted, then merged: a full value that shadows older layers.
+  EXPECT_EQ(records["revived"].first, RecType::kValue);
+  EXPECT_EQ(records["revived"].second, "y");
 }
 
-TEST(MemTableTest, ByteAccountingGrows) {
+TEST(MemTableTest, FlushEmitsStrictlyIncreasingBinaryKeys) {
   MemTable mem;
-  uint64_t before = mem.ApproximateBytes();
-  mem.Put("key", std::string(1000, 'v'));
-  EXPECT_GT(mem.ApproximateBytes(), before + 900);
+  std::set<std::string> written;
+  Pcg32 rng(1234);
+  for (int i = 0; i < 3000; ++i) {
+    std::string key(1 + rng.NextBounded(12), '\0');
+    for (char& c : key) {
+      // Half NULs and 0xff, so prefixes and byte signedness both matter.
+      const uint32_t pick = rng.NextBounded(4);
+      c = pick == 0 ? '\0' : pick == 1 ? '\xff' : static_cast<char>(rng.NextU32());
+    }
+    if (written.size() >= 1000 && written.count(key) == 0) {
+      continue;
+    }
+    switch (rng.NextBounded(3)) {
+      case 0:
+        mem.Put(key, "v");
+        break;
+      case 1:
+        mem.Merge(key, "m");
+        break;
+      default:
+        mem.Delete(key);
+        break;
+    }
+    written.insert(key);
+  }
+  EXPECT_EQ(mem.num_keys(), written.size());
+  std::vector<std::string> keys;
+  mem.ForEachFlushRecord(
+      [&](const MemTable::FlushRecord& rec) { keys.emplace_back(rec.key); });
+  ASSERT_EQ(keys.size(), written.size());
+  for (size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_LT(keys[i - 1], keys[i]) << i;
+  }
+  // The bytewise order SSTableBuilder checks, the same as std::set's.
+  EXPECT_TRUE(std::equal(keys.begin(), keys.end(), written.begin()));
+}
+
+TEST(MemTableTest, ByteAccountingFormula) {
+  // key + 32 per new key, plus the value bytes, plus operand + 8 per merge.
+  // A Put or Delete takes back the bytes it supersedes (but not the 8s).
+  MemTable mem;
+  EXPECT_EQ(mem.ApproximateBytes(), 0u);
+  mem.Put("key", std::string(1000, 'v'));  // 3 + 32 + 1000
+  EXPECT_EQ(mem.ApproximateBytes(), 1035u);
+  mem.Merge("key", "abcd");  // + 4 + 8
+  EXPECT_EQ(mem.ApproximateBytes(), 1047u);
+  mem.Merge("lazy", "xy");  // 4 + 32, + 2 + 8
+  EXPECT_EQ(mem.ApproximateBytes(), 1093u);
+  mem.Merge("lazy", "");  // + 0 + 8
+  EXPECT_EQ(mem.ApproximateBytes(), 1101u);
+  mem.Put("key", "small");  // - 1004, + 5
+  EXPECT_EQ(mem.ApproximateBytes(), 102u);
+  mem.Delete("lazy");  // - 2
+  EXPECT_EQ(mem.ApproximateBytes(), 100u);
+  mem.Merge("lazy", "zzz");  // + 3 + 8
+  EXPECT_EQ(mem.ApproximateBytes(), 111u);
+  mem.Delete("gone");  // 4 + 32
+  EXPECT_EQ(mem.ApproximateBytes(), 147u);
+  mem.Put("lazy", "");  // - 3
+  EXPECT_EQ(mem.ApproximateBytes(), 144u);
 }
 
 // ------------------------------------------------------------------ sstable
@@ -190,7 +263,7 @@ TEST(SSTableTest, BuildAndPointGet) {
   auto reader = SSTableReader::Open(path, 1, &pool);
   ASSERT_TRUE(reader.ok());
   std::string value;
-  std::vector<std::string> ops;
+  Operands ops;
   for (int i = 0; i < 1000; i += 37) {
     char key[16];
     std::snprintf(key, sizeof(key), "key%06d", i);
@@ -208,7 +281,12 @@ TEST(SSTableTest, TombstoneAndMergeRecords) {
   ScopedTempDir dir;
   const std::string path = dir.path() + "/2.sst";
   SSTableBuilder builder(path, 4096, 10);
-  ASSERT_TRUE(builder.Add("a", RecType::kMergeStack, EncodeMergeStack({"x", "y"})).ok());
+  // A stack of two operands: the shape of the stacks in older tables, which
+  // wrote one operand per merge.
+  std::string stack;
+  PutLengthPrefixed(&stack, "x");
+  PutLengthPrefixed(&stack, "y");
+  ASSERT_TRUE(builder.Add("a", RecType::kMergeStack, stack).ok());
   ASSERT_TRUE(builder.Add("b", RecType::kTombstone, "").ok());
   ASSERT_TRUE(builder.Finish().ok());
   EXPECT_EQ(builder.num_tombstones(), 1u);
@@ -216,11 +294,13 @@ TEST(SSTableTest, TombstoneAndMergeRecords) {
   auto reader = SSTableReader::Open(path, 2, nullptr);
   ASSERT_TRUE(reader.ok());
   std::string value;
-  std::vector<std::string> ops;
+  Operands ops;
+  ops.bytes = "z";  // a newer layer's operand stays after the table's
   auto st = (*reader)->Get("a", &value, &ops);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(*st, LookupState::kMergePartial);
-  EXPECT_EQ(ops, (std::vector<std::string>{"x", "y"}));
+  EXPECT_EQ(ops.bytes, "xyz");
+  EXPECT_TRUE(ops.any);
   st = (*reader)->Get("b", &value, &ops);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(*st, LookupState::kDeleted);
@@ -271,7 +351,7 @@ TEST(SSTableTest, LargeValuesSpanBlocks) {
   auto reader = SSTableReader::Open(path, 5, nullptr);
   ASSERT_TRUE(reader.ok());
   std::string value;
-  std::vector<std::string> ops;
+  Operands ops;
   auto st = (*reader)->Get("big", &value, &ops);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(*st, LookupState::kFound);
@@ -291,7 +371,7 @@ TEST(SSTableTest, CorruptBlockDetected) {
   auto reader = SSTableReader::Open(path, 6, nullptr);
   ASSERT_TRUE(reader.ok());  // footer/index still fine
   std::string value;
-  std::vector<std::string> ops;
+  Operands ops;
   auto st = (*reader)->Get("k", &value, &ops);
   EXPECT_FALSE(st.ok());
 }

@@ -1,12 +1,14 @@
 // Tests for the pipelined LSM write path: the immutable-memtable queue (a
 // Put never flushes inline), read correctness across memtable layers and
-// against a model in every layout, cross-writer WAL group commit, graduated
-// backpressure counters, and parallel subcompactions.
+// against a model in every layout, empty merge operands in every layer,
+// cross-writer WAL group commit, graduated backpressure counters, and
+// parallel subcompactions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <thread>
@@ -15,6 +17,7 @@
 #include "src/common/file_util.h"
 #include "src/common/rng.h"
 #include "src/stores/lsm/lsm_store.h"
+#include "src/stores/memstore.h"
 
 namespace gadget {
 namespace {
@@ -172,8 +175,10 @@ TEST(LsmPipelineTest, ReadsMatchModelInEveryLayout) {
       const uint32_t dice = rng.NextBounded(10);
       if (dice < 4) {
         put(key, std::string(8 + rng.NextBounded(120), static_cast<char>('a' + dice)));
-      } else if (dice < 8) {
+      } else if (dice < 7) {
         merge(key, "+" + std::to_string(i));
+      } else if (dice < 8) {
+        merge(key, "");  // still makes an absent key present
       } else {
         del(key);
       }
@@ -280,6 +285,170 @@ TEST(LsmPipelineTest, ReadsMatchModelInEveryLayout) {
   EXPECT_GT(stats.io_batches, 0u);  // the miss path ran...
   EXPECT_GT(stats.cache_hits, 0u);  // ...and so did the pool-hit path
   ASSERT_TRUE((*store)->Close().ok());
+}
+
+// An empty merge operand makes an absent key present, as in MemStore: on an
+// absent key, on a tombstone, and after a non-empty operand, with the empty
+// operand in the same layer as the older records or in a newer one. Every
+// key is read through Get and MultiGet as the records move from the active
+// memtable down to the last level, through an L0->L1 compaction that is
+// bottommost and one that is not.
+TEST(LsmPipelineTest, EmptyOperandMakesKeyPresentInEveryLayer) {
+  ScopedTempDir dir;
+  LsmOptions opts = PipelineOptions();
+  opts.write_buffer_size = 64 * 1024;
+  opts.num_levels = 3;
+  // One output file per compaction, so L2 is one file that spans every key
+  // written before it.
+  opts.compaction_threads = 1;
+  opts.target_file_size = 1ull << 30;
+  opts.max_bytes_level_base = 1ull << 30;  // no L1->L2 until reopened smaller
+  std::unique_ptr<KVStore> store;
+  auto reopen = [&](uint64_t level_base, int l0_trigger) {
+    if (store != nullptr) {
+      ASSERT_TRUE(store->Close().ok());
+      store.reset();
+    }
+    opts.max_bytes_level_base = level_base;
+    opts.l0_compaction_trigger = l0_trigger;
+    auto opened = LsmStore::Open(dir.path(), opts);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    store = std::move(*opened);
+  };
+  auto lsm = [&] { return static_cast<LsmStore*>(store.get()); };
+  auto wait_for = [&](const char* what, const std::function<bool()>& done) {
+    for (int i = 0; !done(); ++i) {
+      ASSERT_LT(i, 2000) << what << " never happened";
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+
+  MemStore model;
+  std::vector<std::string> keys;
+  auto merge = [&](const std::string& key, const std::string& operand) {
+    ASSERT_TRUE(store->Merge(key, operand).ok());
+    ASSERT_TRUE(model.Merge(key, operand).ok());
+  };
+  auto put = [&](const std::string& key, const std::string& value) {
+    ASSERT_TRUE(store->Put(key, value).ok());
+    ASSERT_TRUE(model.Put(key, value).ok());
+  };
+  auto del = [&](const std::string& key) {
+    ASSERT_TRUE(store->Delete(key).ok());
+    ASSERT_TRUE(model.Delete(key).ok());
+  };
+  // The records older than the empty operand, and in the same layer the
+  // operand itself; `split` keys take their operand in second_half().
+  auto first_half = [&](const std::string& p) {
+    for (const char* k : {"absent", "tomb", "after", "twice", "tomb-split", "after-split",
+                          "twice-split", "gone"}) {
+      keys.push_back(p + k);
+    }
+    merge(p + "absent", "");
+    put(p + "tomb", "old");
+    del(p + "tomb");
+    merge(p + "tomb", "");
+    merge(p + "after", "x");
+    merge(p + "after", "");
+    merge(p + "twice", "");
+    merge(p + "twice", "");
+    put(p + "tomb-split", "old");
+    del(p + "tomb-split");
+    merge(p + "after-split", "x");
+    merge(p + "twice-split", "");
+    del(p + "gone");
+  };
+  auto second_half = [&](const std::string& p) {
+    merge(p + "tomb-split", "");
+    merge(p + "after-split", "");
+    merge(p + "twice-split", "");
+  };
+  auto verify = [&](const char* layer) {
+    for (const std::string& key : keys) {
+      std::string got;
+      std::string want;
+      const Status s = store->Get(key, &got);
+      const Status w = model.Get(key, &want);
+      ASSERT_TRUE(w.ok() || w.IsNotFound());
+      EXPECT_EQ(s.code(), w.code()) << layer << " Get " << key << ": " << s.ToString();
+      if (s.ok() && w.ok()) {
+        EXPECT_EQ(got, want) << layer << " Get " << key;
+      }
+    }
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    EXPECT_TRUE(store->MultiGet(keys, &values, &statuses).ok()) << layer;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      std::string want;
+      const Status w = model.Get(keys[i], &want);
+      EXPECT_EQ(statuses[i].code(), w.code())
+          << layer << " MultiGet " << keys[i] << ": " << statuses[i].ToString();
+      if (statuses[i].ok() && w.ok()) {
+        EXPECT_EQ(values[i], want) << layer << " MultiGet " << keys[i];
+      }
+    }
+  };
+
+  // 1. The active memtable.
+  ASSERT_NO_FATAL_FAILURE(reopen(1ull << 30, 4));
+  lsm()->TEST_PauseFlusher(true);
+  first_half("m-");
+  second_half("m-");
+  verify("memtable");
+
+  // 2. A sealed immutable under the active memtable.
+  first_half("i-");
+  std::map<std::string, std::string> filler;
+  SealMemtables(store.get(), lsm(), 1, "seal", &filler);
+  second_half("i-");
+  verify("immutables");
+
+  // 3. Three L0 files, the split keys' halves in different ones.
+  lsm()->TEST_PauseFlusher(false);
+  first_half("z-");
+  ASSERT_TRUE(store->Flush().ok());
+  second_half("z-");
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_EQ(lsm()->NumFilesAtLevel(0), 3);
+  ASSERT_EQ(lsm()->stats().compactions, 0u);
+  verify("L0");
+
+  // 4. A fourth L0 file triggers a bottommost L0->L1 compaction (L2 is
+  // empty): stacks become values, tombstones go.
+  first_half("b-");
+  second_half("b-");
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_NO_FATAL_FAILURE(wait_for("bottommost L0->L1", [&] {
+    return lsm()->stats().compactions > 0 && lsm()->NumFilesAtLevel(0) == 0;
+  }));
+  ASSERT_EQ(lsm()->NumFilesAtLevel(1), 1);
+  verify("L1, bottommost");
+
+  // 5. A tiny L1 target moves L1 into L2, one file spanning every key so far.
+  ASSERT_NO_FATAL_FAILURE(reopen(1, 4));
+  ASSERT_NO_FATAL_FAILURE(wait_for("L1->L2", [&] { return lsm()->NumFilesAtLevel(1) == 0; }));
+  ASSERT_EQ(lsm()->NumFilesAtLevel(2), 1);
+  verify("L2");
+
+  // 6. The "n-" keys sort inside that L2 file, so their L0->L1 compaction is
+  // not bottommost: stacks stay stacks and tombstones stay.
+  ASSERT_NO_FATAL_FAILURE(reopen(1ull << 30, 2));
+  first_half("n-");
+  ASSERT_TRUE(store->Flush().ok());
+  second_half("n-");
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_NO_FATAL_FAILURE(
+      wait_for("L0->L1 over L2", [&] { return lsm()->NumFilesAtLevel(0) == 0; }));
+  ASSERT_EQ(lsm()->NumFilesAtLevel(1), 1);
+  ASSERT_EQ(lsm()->NumFilesAtLevel(2), 1);
+  verify("L1 over L2");
+
+  // 7. And down into the last level.
+  ASSERT_NO_FATAL_FAILURE(reopen(1, 2));
+  ASSERT_NO_FATAL_FAILURE(
+      wait_for("L1->L2 again", [&] { return lsm()->NumFilesAtLevel(1) == 0; }));
+  verify("L2 again");
+  ASSERT_TRUE(store->Close().ok());
 }
 
 TEST(LsmPipelineTest, BatchIsOneWalGroupRecord) {
