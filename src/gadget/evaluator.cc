@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/stores/op_coalescer.h"
+
 namespace gadget {
 namespace {
 
@@ -15,48 +17,30 @@ inline uint64_t ElapsedNs(Clock::time_point a, Clock::time_point b) {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
-// 4096-bit membership filter over a pending batch's keys. Never
-// false-negative, so a miss (the common case) skips the exact scan entirely;
-// sized so even a 256-key batch stays ~6% occupied and false-positive scans
-// are rare. Clearing is a 512-byte fill per flush — noise next to one store
-// crossing. This keeps the batched replay loop's conflict checks
-// allocation-free: a hash-set of encoded keys costs a node allocation per
-// buffered op, which is more than the batching is trying to amortize.
-struct KeyFilter {
-  uint64_t bits[64] = {};
-
-  static uint64_t HashOf(const StateKey& k) {
-    uint64_t h = k.hi * 0x9e3779b97f4a7c15ULL;
-    h ^= k.lo + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    return h;
-  }
-  void Add(uint64_t h) { bits[(h >> 6) & 63] |= 1ull << (h & 63); }
-  bool MayContain(uint64_t h) const { return ((bits[(h >> 6) & 63] >> (h & 63)) & 1) != 0; }
-  void Clear() { std::fill(std::begin(bits), std::end(bits), 0); }
-};
-
-// Collects per-interval TimelineSamples during one replay. The replay loops
-// feed it sampled latencies (RecordLatency) and signal after ops/not_found
+// Collects per-interval TimelineSamples during one replay. The replay loop
+// feeds it sampled latencies (RecordLatency) and signals after ops/not_found
 // advance (OnProgress); an interval closes once the cumulative op count
-// reaches the next boundary — exactly on it for the single-op path, at the
-// first flush at or after it when batching — and Finish emits the trailing
-// ragged interval. Each boundary takes one store->stats() snapshot, whose
+// reaches the next boundary — at the first store call at or after it, which
+// at batch_size 1 is exactly on it — and Finish emits the trailing ragged
+// interval. Each boundary takes one store->stats() snapshot, whose
 // delta against the previous snapshot becomes the sample's stats_delta.
 class TimelineCollector {
  public:
-  TimelineCollector(const ReplayOptions& options, KVStore* store, ReplayResult* result)
-      : interval_(options.timeline_interval_ops), store_(store), result_(result) {}
+  // The first interval starts at `start`.
+  TimelineCollector(const ReplayOptions& options, KVStore* store, ReplayResult* result,
+                    Clock::time_point start)
+      : interval_(options.timeline_interval_ops),
+        store_(store),
+        result_(result),
+        start_(start),
+        interval_start_time_(start),
+        next_boundary_(interval_) {
+    if (active()) {
+      stats_at_start_ = store_->stats();
+    }
+  }
 
   bool active() const { return interval_ != 0; }
-
-  void Start(Clock::time_point start) {
-    if (!active()) {
-      return;
-    }
-    start_ = interval_start_time_ = start;
-    stats_at_start_ = store_->stats();
-    next_boundary_ = interval_;
-  }
 
   void RecordLatency(uint64_t ns, bool is_read) {
     if (!active()) {
@@ -129,254 +113,35 @@ class TimelineCollector {
   uint64_t cur_checkpoint_micros_ = 0;
 };
 
-// Takes periodic checkpoints during one replay
-// (ReplayOptions::checkpoint_every_ops). The replay loops call Due() after
-// result->ops advances and Take() at a point where the store state equals the
-// exact trace prefix [0, result->ops) — the single-op loop after every op,
-// the batched loop after flushing both pending buffers.
-class CheckpointDriver {
- public:
-  CheckpointDriver(const ReplayOptions& options, KVStore* store, ReplayResult* result,
-                   TimelineCollector* tl)
-      : every_(options.checkpoint_every_ops),
-        dir_(options.checkpoint_dir),
-        incremental_(options.checkpoint_incremental),
-        store_(store),
-        result_(result),
-        tl_(tl) {}
-
-  bool active() const { return every_ != 0 && !dir_.empty(); }
-
-  void Start(Clock::time_point start) {
-    start_ = start;
-    next_ = every_;
+// Cuts a replay's next checkpoint (ReplayOptions::checkpoint_every_ops). The
+// store state must equal the exact trace prefix [0, result->ops).
+Status TakeCheckpoint(const ReplayOptions& options, KVStore* store, Clock::time_point start,
+                      ReplayResult* result, TimelineCollector* tl) {
+  CheckpointSample s;
+  s.index = result->checkpoints.size();
+  s.trace_pos = result->ops;
+  char name[32];
+  std::snprintf(name, sizeof(name), "cp-%06llu", static_cast<unsigned long long>(s.index));
+  s.dir = options.checkpoint_dir + "/" + name;
+  CheckpointOptions copts;
+  if (options.checkpoint_incremental && !result->checkpoints.empty()) {
+    copts.base_dir = result->checkpoints.back().dir;
   }
-
-  bool Due() const { return active() && result_->ops >= next_; }
-
-  Status Take() {
-    CheckpointSample s;
-    s.index = result_->checkpoints.size();
-    s.trace_pos = result_->ops;
-    char name[32];
-    std::snprintf(name, sizeof(name), "cp-%06llu", static_cast<unsigned long long>(s.index));
-    s.dir = dir_ + "/" + name;
-    CheckpointOptions copts;
-    if (incremental_ && !result_->checkpoints.empty()) {
-      copts.base_dir = result_->checkpoints.back().dir;
-    }
-    auto t0 = Clock::now();
-    auto info = store_->Checkpoint(s.dir, copts);
-    if (!info.ok()) {
-      return info.status();
-    }
-    auto t1 = Clock::now();
-    s.at_seconds = static_cast<double>(ElapsedNs(start_, t1)) / 1e9;
-    s.duration_micros = ElapsedNs(t0, t1) / 1000;
-    s.bytes = info->bytes;
-    s.files = info->files;
-    s.hard_links = info->hard_links;
-    s.reused = info->reused;
-    tl_->NoteCheckpoint(s.duration_micros);
-    result_->checkpoints.push_back(std::move(s));
-    next_ = result_->ops + every_;
-    return Status::Ok();
+  auto t0 = Clock::now();
+  auto info = store->Checkpoint(s.dir, copts);
+  if (!info.ok()) {
+    return info.status();
   }
-
- private:
-  const uint64_t every_;
-  const std::string dir_;
-  const bool incremental_;
-  KVStore* const store_;
-  ReplayResult* const result_;
-  TimelineCollector* const tl_;
-  Clock::time_point start_;
-  uint64_t next_ = 0;
-};
-
-// Exact membership: filter first, linear scan of the (small) pending-key
-// vector only on a filter hit.
-inline bool BatchContains(const std::vector<StateKey>& keys, const KeyFilter& filter,
-                          const StateKey& k, uint64_t h) {
-  if (!filter.MayContain(h)) {
-    return false;
-  }
-  return std::find(keys.begin(), keys.end(), k) != keys.end();
-}
-
-// Batched replay: writes accumulate into a WriteBatch and gets into a
-// MultiGet group; each fills to options.batch_size before flushing.
-// Correctness rules (see ReplayOptions::batch_size):
-//   * a get whose key is in the pending write batch flushes the writes first
-//     (read-your-writes);
-//   * a write whose key is among the pending gets flushes the gets first
-//     (no write-after-read reordering);
-// so the two pending key sets are disjoint at all times and the flush order
-// between them is unobservable — ops on unrelated keys may commit out of
-// trace order, but no reordering crosses a same-key dependency.
-StatusOr<ReplayResult> ReplayBatched(const std::vector<StateAccess>& trace, KVStore* store,
-                                     const ReplayOptions& options) {
-  ReplayResult result;
-  TimelineCollector tl(options, store, &result);
-  CheckpointDriver cp(options, store, &result, &tl);
-  const size_t batch_size = static_cast<size_t>(options.batch_size);
-  const uint64_t limit =
-      options.max_ops == 0 ? trace.size() : std::min<uint64_t>(options.max_ops, trace.size());
-  const double pace_ns =
-      options.service_rate_ops_per_sec > 0 ? 1e9 / options.service_rate_ops_per_sec : 0;
-  const uint64_t sample_every = std::max<uint64_t>(options.latency_sample_every, 1);
-  uint64_t until_sample = 0;
-
-  WriteBatch wb;
-  std::vector<StateKey> write_keys;  // raw keys currently buffered in wb
-  KeyFilter write_filter;
-  std::vector<StateKey> get_state_keys;  // raw keys of the pending gets
-  KeyFilter get_filter;
-  // Encoded pending-get keys, reused via the n_gets watermark so each slot's
-  // 16-byte heap buffer survives across flushes (16 bytes exceeds SSO).
-  std::vector<std::string> get_keys;
-  size_t n_gets = 0;
-  std::vector<std::string> get_values;
-  std::vector<Status> get_statuses;
-  std::string key;
-  std::string value_buf;
-
-  auto flush_gets = [&]() -> Status {
-    if (n_gets == 0) {
-      return Status::Ok();
-    }
-    get_keys.resize(n_gets);  // shrink-only; kept slots keep their buffers
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point t0;
-    if (sampled) {
-      t0 = Clock::now();
-    }
-    Status s = store->MultiGet(get_keys, &get_values, &get_statuses, options.read_options);
-    if (!s.ok()) {
-      return s;  // per-key NotFound stays in statuses; this is a real error
-    }
-    if (sampled) {
-      uint64_t ns = ElapsedNs(t0, Clock::now());
-      result.latency_ns.Record(ns);
-      result.read_latency_ns.Record(ns);
-      tl.RecordLatency(ns, /*is_read=*/true);
-    }
-    for (const Status& st : get_statuses) {
-      if (st.IsNotFound()) {
-        ++result.not_found;
-      }
-    }
-    result.ops += n_gets;
-    n_gets = 0;
-    get_state_keys.clear();
-    get_filter.Clear();
-    tl.OnProgress();
-    return Status::Ok();
-  };
-  auto flush_writes = [&]() -> Status {
-    if (wb.empty()) {
-      return Status::Ok();
-    }
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point t0;
-    if (sampled) {
-      t0 = Clock::now();
-    }
-    GADGET_RETURN_IF_ERROR(store->Write(wb));
-    if (sampled) {
-      uint64_t ns = ElapsedNs(t0, Clock::now());
-      result.latency_ns.Record(ns);
-      result.write_latency_ns.Record(ns);
-      tl.RecordLatency(ns, /*is_read=*/false);
-    }
-    result.ops += wb.size();
-    wb.Clear();
-    write_keys.clear();
-    write_filter.Clear();
-    tl.OnProgress();
-    return Status::Ok();
-  };
-
-  auto start = Clock::now();
-  tl.Start(start);
-  cp.Start(start);
-  for (uint64_t i = 0; i < limit; ++i) {
-    // A due checkpoint first flushes BOTH pending buffers so the image is an
-    // exact trace prefix (the buffers are key-disjoint; either flush order
-    // is correct), then cuts it. result.ops only advances at flushes, so
-    // like timeline intervals the cut can overshoot its boundary by up to
-    // batch_size - 1 ops.
-    if (cp.Due()) {
-      GADGET_RETURN_IF_ERROR(flush_writes());
-      GADGET_RETURN_IF_ERROR(flush_gets());
-      GADGET_RETURN_IF_ERROR(cp.Take());
-    }
-    const StateAccess& a = trace[i];
-    if (pace_ns > 0) {
-      auto due =
-          start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
-      std::this_thread::sleep_until(due);
-    }
-    StateKey k = a.key;
-    k.hi += options.key_hi_offset;
-    const uint64_t h = KeyFilter::HashOf(k);
-    if (a.op == OpType::kGet) {
-      if (!wb.empty() && BatchContains(write_keys, write_filter, k, h)) {
-        GADGET_RETURN_IF_ERROR(flush_writes());  // read-your-writes
-      }
-      if (n_gets == get_keys.size()) {
-        get_keys.emplace_back();
-      }
-      EncodeStateKeyTo(k, &get_keys[n_gets]);
-      ++n_gets;
-      get_state_keys.push_back(k);
-      get_filter.Add(h);
-      if (n_gets >= batch_size) {
-        GADGET_RETURN_IF_ERROR(flush_gets());
-      }
-      continue;
-    }
-    if (n_gets != 0 && BatchContains(get_state_keys, get_filter, k, h)) {
-      GADGET_RETURN_IF_ERROR(flush_gets());  // a pending get precedes this write
-    }
-    EncodeStateKeyTo(k, &key);
-    if (a.value_size > value_buf.size()) {
-      value_buf.resize(a.value_size, 'v');
-    }
-    std::string_view value(value_buf.data(), a.value_size);
-    switch (a.op) {
-      case OpType::kPut:
-        wb.Put(key, value);
-        break;
-      case OpType::kMerge:
-        // Engines without native merge apply this as an eager RMW, the same
-        // translation the single-op path makes.
-        wb.Merge(key, value);
-        break;
-      case OpType::kDelete:
-        wb.Delete(key);
-        break;
-      case OpType::kGet:
-        break;  // handled above
-    }
-    write_keys.push_back(k);
-    write_filter.Add(h);
-    if (wb.size() >= batch_size) {
-      GADGET_RETURN_IF_ERROR(flush_writes());
-    }
-  }
-  // Trailing partial batches: the pending gets and pending writes are
-  // key-disjoint (both conflict rules above), so either order is correct.
-  GADGET_RETURN_IF_ERROR(flush_writes());
-  GADGET_RETURN_IF_ERROR(flush_gets());
-  auto end = Clock::now();
-  tl.Finish(end);
-  result.elapsed_seconds = static_cast<double>(ElapsedNs(start, end)) / 1e9;
-  result.throughput_ops_per_sec =
-      result.elapsed_seconds > 0 ? static_cast<double>(result.ops) / result.elapsed_seconds : 0;
-  return result;
+  auto t1 = Clock::now();
+  s.at_seconds = static_cast<double>(ElapsedNs(start, t1)) / 1e9;
+  s.duration_micros = ElapsedNs(t0, t1) / 1000;
+  s.bytes = info->bytes;
+  s.files = info->files;
+  s.hard_links = info->hard_links;
+  s.reused = info->reused;
+  tl->NoteCheckpoint(s.duration_micros);
+  result->checkpoints.push_back(std::move(s));
+  return Status::Ok();
 }
 
 }  // namespace
@@ -426,88 +191,139 @@ std::string ReplayResult::Summary() const {
 
 StatusOr<ReplayResult> ReplayTrace(const std::vector<StateAccess>& trace, KVStore* store,
                                    const ReplayOptions& options) {
-  if (options.batch_size > 1) {
-    return ReplayBatched(trace, store, options);
-  }
   ReplayResult result;
-  TimelineCollector tl(options, store, &result);
-  CheckpointDriver cp(options, store, &result, &tl);
-  const bool has_merge = store->supports_merge();
-  // Reusable synthetic value buffer; contents are irrelevant, size matters.
-  std::string value_buf;
-  std::string read_buf;
-
+  const uint64_t checkpoint_every =
+      options.checkpoint_dir.empty() ? 0 : options.checkpoint_every_ops;
+  uint64_t next_checkpoint = checkpoint_every;
   const uint64_t limit =
       options.max_ops == 0 ? trace.size() : std::min<uint64_t>(options.max_ops, trace.size());
   const double pace_ns =
       options.service_rate_ops_per_sec > 0 ? 1e9 / options.service_rate_ops_per_sec : 0;
   const uint64_t sample_every = std::max<uint64_t>(options.latency_sample_every, 1);
-  uint64_t until_sample = 0;  // countdown: avoids a divide per op
-  std::string key;  // reused: EncodeStateKeyTo avoids an allocation per op
+  uint64_t until_sample = 0;  // countdown: avoids a divide per call
 
-  auto start = Clock::now();
-  tl.Start(start);
-  cp.Start(start);
+  const bool has_merge = store->supports_merge();
+  OpCoalescer pending(static_cast<size_t>(options.batch_size));
+  std::string value;  // Get's output
+  std::vector<std::string> values;  // MultiGet's output
+  std::vector<Status> statuses;
+  std::string key;  // reused: EncodeStateKeyTo avoids an allocation per op
+  // Synthetic value bytes; contents are irrelevant, size matters.
+  std::string value_buf;
+
+  const auto start = Clock::now();
+  TimelineCollector tl(options, store, &result, start);
+  // Makes one store call and, every sample_every-th call, records its
+  // latency: one op's at batch_size 1, the whole batch's otherwise.
+  auto timed = [&](bool is_read, auto&& call) -> Status {
+    const bool sampled = until_sample == 0;
+    until_sample = sampled ? sample_every - 1 : until_sample - 1;
+    if (!sampled) {
+      return call();
+    }
+    const auto t0 = Clock::now();
+    Status s = call();
+    const uint64_t ns = ElapsedNs(t0, Clock::now());
+    result.latency_ns.Record(ns);
+    (is_read ? result.read_latency_ns : result.write_latency_ns).Record(ns);
+    tl.RecordLatency(ns, is_read);
+    return s;
+  };
+  // A side that holds one op makes the single-op call (Get, Put, Merge or
+  // ReadModifyWrite, Delete) at every width, so a batch-1 replay makes one
+  // such call per op and Write/MultiGet only ever carry two or more.
+  auto run_reads = [&]() -> Status {
+    const size_t n = pending.pending_reads();
+    if (n == 0) {
+      return Status::Ok();
+    }
+    const std::vector<std::string>& keys = pending.reads();
+    if (n == 1) {
+      const Status s =
+          timed(true, [&] { return store->Get(keys[0], &value, options.read_options); });
+      if (s.IsNotFound()) {
+        ++result.not_found;
+      } else {
+        GADGET_RETURN_IF_ERROR(s);
+      }
+    } else {
+      // Per-key NotFound stays in statuses; an error return is a real one.
+      GADGET_RETURN_IF_ERROR(timed(true, [&] {
+        return store->MultiGet(keys, &values, &statuses, options.read_options);
+      }));
+      for (const Status& st : statuses) {
+        if (st.IsNotFound()) {
+          ++result.not_found;
+        }
+      }
+    }
+    result.ops += n;
+    tl.OnProgress();
+    pending.ClearReads();
+    return Status::Ok();
+  };
+  auto run_writes = [&]() -> Status {
+    const WriteBatch& wb = pending.writes();
+    if (wb.empty()) {
+      return Status::Ok();
+    }
+    GADGET_RETURN_IF_ERROR(timed(false, [&] {
+      if (wb.size() > 1) {
+        return store->Write(wb);
+      }
+      const WriteBatch::Entry& e = wb.entry(0);
+      switch (e.op) {
+        case WriteBatch::Op::kPut:
+          return store->Put(e.key, e.value);
+        case WriteBatch::Op::kMerge:
+          return has_merge ? store->Merge(e.key, e.value) : store->ReadModifyWrite(e.key, e.value);
+        case WriteBatch::Op::kDelete:
+          break;
+      }
+      return store->Delete(e.key);
+    }));
+    result.ops += wb.size();
+    tl.OnProgress();
+    pending.ClearWrites();
+    return Status::Ok();
+  };
+
   for (uint64_t i = 0; i < limit; ++i) {
-    if (cp.Due()) {
-      GADGET_RETURN_IF_ERROR(cp.Take());  // store state == trace[0, i) exactly
+    // A due checkpoint first runs both pending sides (they share no key, so
+    // either order is correct), so the image is an exact trace prefix.
+    if (checkpoint_every != 0 && result.ops >= next_checkpoint) {
+      GADGET_RETURN_IF_ERROR(run_writes());
+      GADGET_RETURN_IF_ERROR(run_reads());
+      GADGET_RETURN_IF_ERROR(TakeCheckpoint(options, store, start, &result, &tl));
+      next_checkpoint = result.ops + checkpoint_every;
     }
     const StateAccess& a = trace[i];
     if (pace_ns > 0) {
-      auto due = start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
+      auto due =
+          start + std::chrono::nanoseconds(static_cast<uint64_t>(pace_ns * static_cast<double>(i)));
       std::this_thread::sleep_until(due);
     }
     StateKey k = a.key;
     k.hi += options.key_hi_offset;
     EncodeStateKeyTo(k, &key);
-    if (a.value_size > value_buf.size()) {
+    const bool is_read = a.op == OpType::kGet;
+    if (!is_read && a.value_size > value_buf.size()) {
       value_buf.resize(a.value_size, 'v');
     }
-    std::string_view value(value_buf.data(), a.value_size);
-
-    const bool sampled = until_sample == 0;
-    until_sample = sampled ? sample_every - 1 : until_sample - 1;
-    Clock::time_point op_start;
-    if (sampled) {
-      op_start = Clock::now();
+    const OpCoalescer::Due due =
+        is_read ? pending.AddRead(key)
+                : pending.AddWrite(WriteOpOf(a.op), key,
+                                   std::string_view(value_buf.data(), a.value_size));
+    if (due.other) {
+      GADGET_RETURN_IF_ERROR(is_read ? run_writes() : run_reads());
     }
-    Status s;
-    bool is_read = false;
-    switch (a.op) {
-      case OpType::kGet:
-        is_read = true;
-        s = store->Get(key, &read_buf, options.read_options);
-        if (s.IsNotFound()) {
-          ++result.not_found;
-          s = Status::Ok();
-        }
-        break;
-      case OpType::kPut:
-        s = store->Put(key, value);
-        break;
-      case OpType::kMerge:
-        s = has_merge ? store->Merge(key, value) : store->ReadModifyWrite(key, value);
-        break;
-      case OpType::kDelete:
-        s = store->Delete(key);
-        break;
+    if (due.own) {
+      GADGET_RETURN_IF_ERROR(is_read ? run_reads() : run_writes());
     }
-    if (!s.ok()) {
-      return s;
-    }
-    if (sampled) {
-      uint64_t ns = ElapsedNs(op_start, Clock::now());
-      result.latency_ns.Record(ns);
-      if (is_read) {
-        result.read_latency_ns.Record(ns);
-      } else {
-        result.write_latency_ns.Record(ns);
-      }
-      tl.RecordLatency(ns, is_read);
-    }
-    ++result.ops;
-    tl.OnProgress();
   }
+  // The trailing sides share no key, so either order is correct.
+  GADGET_RETURN_IF_ERROR(run_writes());
+  GADGET_RETURN_IF_ERROR(run_reads());
   auto end = Clock::now();
   tl.Finish(end);
   result.elapsed_seconds = static_cast<double>(ElapsedNs(start, end)) / 1e9;

@@ -33,30 +33,25 @@ struct ReplayOptions {
   // materializing a shifted copy of the trace per instance.
   uint64_t key_hi_offset = 0;
   // Coalesce up to this many operations into one Write(WriteBatch) /
-  // MultiGet call (1 = the classic one-call-per-op path, bit-for-bit
-  // unchanged). Same-key ordering is preserved: a get whose key sits in the
-  // pending write batch flushes the writes first (read-your-writes), and a
-  // write whose key is among the pending gets flushes the gets first, so the
-  // two pending key sets stay disjoint and no reordering ever crosses a
-  // same-key dependency — only ops on unrelated keys commit out of trace
-  // order, which no single-writer-per-key workload can observe.
-  // With batching, latency histograms record one sample per *flush* (the
-  // latency an operator sees for the whole batch); ops/throughput still
+  // MultiGet call under OpCoalescer's same-key rule (op_coalescer.h). At
+  // every width a call of one op is made as the single-op call, so 1 makes
+  // exactly one Get, Put, Merge (or ReadModifyWrite) or Delete per op.
+  // Latency histograms record one sample per store call; ops/throughput
   // count every operation.
   uint64_t batch_size = 1;
   // When nonzero, collect a TimelineSample every N completed operations:
   // per-interval throughput, read/write latency histograms, not-found count,
   // and the store's StoreStats delta over the interval. The final interval
-  // may be ragged (fewer than N ops); under batching an interval closes at
-  // the first flush at or after its boundary, so mid-run intervals can also
-  // overshoot by up to batch_size - 1 ops.
+  // may be ragged (fewer than N ops); an interval closes at the first store
+  // call at or after its boundary, so with batch_size above 1 mid-run
+  // intervals can also overshoot by up to batch_size - 1 ops.
   uint64_t timeline_interval_ops = 0;
   // When nonzero (and checkpoint_dir is set), take a store checkpoint every
   // N completed operations into numbered subdirectories of checkpoint_dir
   // (cp-000000, cp-000001, ...). Each image is an exact trace prefix: the
-  // batched path flushes both pending buffers before checkpointing, so like
-  // timeline intervals a checkpoint can land up to batch_size - 1 ops past
-  // its boundary, but always at a point where the store state equals
+  // replay runs both pending sides before checkpointing, so like timeline
+  // intervals a checkpoint can land up to batch_size - 1 ops past its
+  // boundary, but always at a point where the store state equals
   // trace[0, CheckpointSample::trace_pos).
   uint64_t checkpoint_every_ops = 0;
   std::string checkpoint_dir;
@@ -149,6 +144,18 @@ struct ReplayResult {
 
   std::string Summary() const;
 };
+
+// The WriteBatch op of a trace write (any op but kGet).
+inline WriteBatch::Op WriteOpOf(OpType op) {
+  switch (op) {
+    case OpType::kMerge:
+      return WriteBatch::Op::kMerge;
+    case OpType::kDelete:
+      return WriteBatch::Op::kDelete;
+    default:
+      return WriteBatch::Op::kPut;
+  }
+}
 
 // Replays `trace` against `store`. Values are deterministic synthetic bytes
 // of each access's value_size. Returns IoError/Corruption if the store

@@ -34,8 +34,8 @@
 //   sync_writes      fsync the WAL/log on every commit (group
 //                    commit makes this per-batch with batching);
 //                    store=btree has no log and refuses it        (false)
-//   batch_size       coalesce up to N consecutive ops into one
-//                    WriteBatch / MultiGet, 1 = op-at-a-time      (1)
+//   batch_size       coalesce up to N ops into one WriteBatch /
+//                    MultiGet (OpCoalescer), 1 = op-at-a-time     (1)
 //   service_rate     replay pacing, ops/s, 0 = unpaced            (0)
 //   max_ops          replay budget, 0 = whole trace               (0)
 //   timeline_interval evaluation timeline sample width in ops, 0 =

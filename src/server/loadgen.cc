@@ -8,6 +8,7 @@
 #include "src/common/hash.h"
 #include "src/server/client.h"
 #include "src/server/router.h"
+#include "src/stores/op_coalescer.h"
 
 namespace gadget {
 namespace wire {
@@ -88,8 +89,7 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
                      ThreadState* st) {
   net::FramedConn* conn = lease.conn();
   std::unordered_map<uint32_t, Pending> in_flight;
-  WriteBatch wb;
-  std::vector<std::string> get_keys;
+  OpCoalescer pending(static_cast<size_t>(options.batch_size));
   std::string key;
   std::string value_buf;
 
@@ -104,7 +104,8 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
     st->ops_sent += ops;
     return Status::Ok();
   };
-  auto flush_writes = [&]() -> Status {
+  auto send_writes = [&]() -> Status {
+    const WriteBatch& wb = pending.writes();
     if (wb.empty()) {
       return Status::Ok();
     }
@@ -112,18 +113,18 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
     std::string frame;
     AppendWriteBatchRequest(&frame, id, wb);
     const uint64_t n = wb.size();
-    wb.Clear();
+    pending.ClearWrites();
     return send_frame(frame, id, n, /*is_read=*/false);
   };
-  auto flush_gets = [&]() -> Status {
-    if (get_keys.empty()) {
+  auto send_reads = [&]() -> Status {
+    const uint64_t n = pending.pending_reads();
+    if (n == 0) {
       return Status::Ok();
     }
     const uint32_t id = lease.NextId();
     std::string frame;
-    AppendMultiGetRequest(&frame, id, get_keys);
-    const uint64_t n = get_keys.size();
-    get_keys.clear();
+    AppendMultiGetRequest(&frame, id, pending.reads());
+    pending.ClearReads();
     return send_frame(frame, id, n, /*is_read=*/true);
   };
 
@@ -138,38 +139,24 @@ void ReplayPartition(const std::vector<StateAccess>& trace, uint64_t limit, int 
           static_cast<uint64_t>(thread_index)) {
         continue;
       }
-      if (a.op == OpType::kGet) {
-        GADGET_RETURN_IF_ERROR(flush_writes());  // kind switch closes the frame
-        get_keys.push_back(key);
-        if (get_keys.size() >= options.batch_size) {
-          GADGET_RETURN_IF_ERROR(flush_gets());
-        }
-        continue;
-      }
-      GADGET_RETURN_IF_ERROR(flush_gets());
-      if (a.value_size > value_buf.size()) {
+      const bool is_read = a.op == OpType::kGet;
+      if (!is_read && a.value_size > value_buf.size()) {
         value_buf.resize(a.value_size, 'v');  // the evaluator's synthetic values
       }
-      std::string_view value(value_buf.data(), a.value_size);
-      switch (a.op) {
-        case OpType::kPut:
-          wb.Put(key, value);
-          break;
-        case OpType::kMerge:
-          wb.Merge(key, value);
-          break;
-        case OpType::kDelete:
-          wb.Delete(key);
-          break;
-        case OpType::kGet:
-          break;  // handled above
+      const OpCoalescer::Due due =
+          is_read ? pending.AddRead(key)
+                  : pending.AddWrite(WriteOpOf(a.op), key,
+                                     std::string_view(value_buf.data(), a.value_size));
+      if (due.other) {
+        GADGET_RETURN_IF_ERROR(is_read ? send_writes() : send_reads());
       }
-      if (wb.size() >= options.batch_size) {
-        GADGET_RETURN_IF_ERROR(flush_writes());
+      if (due.own) {
+        GADGET_RETURN_IF_ERROR(is_read ? send_reads() : send_writes());
       }
     }
-    GADGET_RETURN_IF_ERROR(flush_writes());
-    GADGET_RETURN_IF_ERROR(flush_gets());
+    // The trailing sides share no key, so either order is correct.
+    GADGET_RETURN_IF_ERROR(send_writes());
+    GADGET_RETURN_IF_ERROR(send_reads());
     while (!in_flight.empty()) {
       GADGET_RETURN_IF_ERROR(DrainOne(conn, &in_flight, st));
     }

@@ -5,10 +5,10 @@
 // partitioned by key hash — every key's operations land on exactly one
 // client thread, in trace order, so per-key ordering survives the fan-out
 // (the same invariant ReplaySharded relies on in-process). Each thread
-// coalesces runs of consecutive writes into WRITE_BATCH frames and runs of
-// consecutive reads into MULTI_GET frames (a kind switch closes the pending
-// frame, which trivially preserves intra-thread order), and keeps up to
-// `pipeline_depth` frames in flight, matching responses by correlation id.
+// batches through one OpCoalescer, as the in-process replay and the server
+// do: its writes fill WRITE_BATCH frames and its reads MULTI_GET frames, and
+// keeps up to `pipeline_depth` frames in flight, matching responses by
+// correlation id.
 //
 // Measurements are wire-level: each frame's latency is recorded once at
 // response match (the latency an operator would see for the whole batch,

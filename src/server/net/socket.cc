@@ -173,19 +173,18 @@ Status SendAll(int fd, std::string_view data) {
   return Status::Ok();
 }
 
-int RecvChunk(int fd, std::string* buf, size_t cap, std::string* error) {
-  const size_t old = buf->size();
-  buf->resize(old + cap);
+int RecvChunk(int fd, std::string* buf, std::string* error) {
+  // Not into *buf: growing it first would zero-fill the whole chunk.
+  char chunk[kRecvChunk];
   for (;;) {
-    const ssize_t n = ::recv(fd, buf->data() + old, cap, 0);
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
     if (n >= 0) {
-      buf->resize(old + static_cast<size_t>(n));
+      buf->append(chunk, static_cast<size_t>(n));
       return static_cast<int>(n);
     }
     if (errno == EINTR) {
       continue;
     }
-    buf->resize(old);
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       return -1;
     }
@@ -240,7 +239,7 @@ Status FramedConn::RecvFrame(wire::MsgType* type, uint32_t* id, std::string* pay
       return Status::Ok();
     }
     std::string rerr;
-    const int n = RecvChunk(fd_, &rbuf_, 64 << 10, &rerr);
+    const int n = RecvChunk(fd_, &rbuf_, &rerr);
     if (n == 0) {
       return Status::IoError("connection closed mid-frame");
     }

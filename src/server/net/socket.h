@@ -59,12 +59,14 @@ Status SetSocketBufferSizes(int fd, int sndbuf_bytes, int rcvbuf_bytes);
 // dead.
 Status SendAll(int fd, std::string_view data);
 
-// One read of up to `cap` bytes appended to *buf.
+constexpr size_t kRecvChunk = 64 << 10;
+
+// One read of up to kRecvChunk bytes appended to *buf.
 //   > 0  — that many bytes were appended
 //     0  — orderly EOF (peer closed)
 //    -1  — nothing available right now (non-blocking fd); *not* an error
 //    -2  — connection error; *error says why
-int RecvChunk(int fd, std::string* buf, size_t cap, std::string* error);
+int RecvChunk(int fd, std::string* buf, std::string* error);
 
 // One gather-write of `iov[0..iovcnt)` on a non-blocking fd (EINTR retried,
 // SIGPIPE suppressed). Never blocks and never polls — partial progress is the

@@ -13,7 +13,6 @@
 #include <deque>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "src/common/json.h"
@@ -21,6 +20,7 @@
 #include "src/common/mutex.h"
 #include "src/server/net/socket.h"
 #include "src/server/wire.h"
+#include "src/stores/op_coalescer.h"
 
 namespace gadget {
 namespace wire {
@@ -28,7 +28,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr size_t kRecvChunk = 64 << 10;
 // Gather-list cap per writev: a deep pipeline coalesces up to this many
 // queued response bursts into one syscall. Far below IOV_MAX (1024); past a
 // few dozen entries the syscall itself stops being the cost.
@@ -94,18 +93,16 @@ struct Call {
   std::string stats;              // STATS: the document at the call's turn
 };
 
-// One shard's pending share of a burst: its writes build one WriteBatch and
-// its reads one MultiGet. A read of a key with a pending write runs the writes
-// first (read-your-writes), and a write of a key with a pending read runs the
-// reads first (the read sees the old value). That keeps written ∩ read = ∅,
-// so the order the two sides finally run in cannot change any result.
+// Ops per side of a shard's OpCoalescer; a side that reaches it runs
+// mid-burst. A client pipelining 8 frames of 32 ops never reaches it.
+constexpr size_t kShardSideCap = 256;
+
+// One shard's pending share of a burst: its OpCoalescer decides when a side
+// runs, and the rest records whose ops they are.
 struct ShardOps {
-  WriteBatch writes;
-  std::vector<uint32_t> writers;  // calls with entries in `writes`
-  std::unordered_set<std::string> written;
-  std::vector<std::string> reads;
+  OpCoalescer pending{kShardSideCap};
+  std::vector<uint32_t> writers;  // calls with entries in the pending writes
   std::vector<std::pair<uint32_t, uint32_t>> readers;  // (call, key index) per read
-  std::unordered_set<std::string> read;
 };
 
 // The frames a reactor decoded from one connection in one wake, run to
@@ -117,7 +114,7 @@ class Burst {
   explicit Burst(ShardSet* shards)
       : shards_(shards), ops_(static_cast<size_t>(shards->shards())) {}
 
-  // Adds one decoded request. Consumes its keys.
+  // Adds one decoded request. A GET's key moves into `req.keys`.
   void Add(Request& req);
   // Runs every pending store call.
   void Run();
@@ -127,8 +124,8 @@ class Burst {
   Call& last() { return calls_.back(); }
 
  private:
-  void Read(uint32_t call, uint32_t index, std::string key);
-  void Write(uint32_t call, WriteBatch::Op op, const std::string& key, std::string_view value);
+  void Read(uint32_t call, uint32_t index, std::string_view key);
+  void Write(uint32_t call, WriteBatch::Op op, std::string_view key, std::string_view value);
   void RunWrites(size_t shard);
   void RunReads(size_t shard);
 
@@ -152,7 +149,7 @@ void Burst::Add(Request& req) {
       call.statuses.resize(req.keys.size());
       call.values.resize(req.keys.size());
       for (size_t i = 0; i < req.keys.size(); ++i) {
-        Read(c, static_cast<uint32_t>(i), std::move(req.keys[i]));
+        Read(c, static_cast<uint32_t>(i), req.keys[i]);
       }
       break;
     case MsgType::kPut:
@@ -175,38 +172,32 @@ void Burst::Add(Request& req) {
   }
 }
 
-void Burst::Read(uint32_t call, uint32_t index, std::string key) {
+void Burst::Read(uint32_t call, uint32_t index, std::string_view key) {
   const auto s = static_cast<size_t>(shards_->Route(key));
   ShardOps& o = ops_[s];
-  if (o.written.count(key) != 0) {
+  o.readers.emplace_back(call, index);
+  const OpCoalescer::Due due = o.pending.AddRead(key);
+  if (due.other) {
     RunWrites(s);
   }
-  o.read.insert(key);
-  o.reads.push_back(std::move(key));
-  o.readers.emplace_back(call, index);
+  if (due.own) {
+    RunReads(s);
+  }
 }
 
-void Burst::Write(uint32_t call, WriteBatch::Op op, const std::string& key,
+void Burst::Write(uint32_t call, WriteBatch::Op op, std::string_view key,
                   std::string_view value) {
   const auto s = static_cast<size_t>(shards_->Route(key));
   ShardOps& o = ops_[s];
-  if (o.read.count(key) != 0) {
-    RunReads(s);
-  }
-  switch (op) {
-    case WriteBatch::Op::kPut:
-      o.writes.Put(key, value);
-      break;
-    case WriteBatch::Op::kMerge:
-      o.writes.Merge(key, value);
-      break;
-    case WriteBatch::Op::kDelete:
-      o.writes.Delete(key);
-      break;
-  }
-  o.written.insert(key);
   if (o.writers.empty() || o.writers.back() != call) {
     o.writers.push_back(call);
+  }
+  const OpCoalescer::Due due = o.pending.AddWrite(op, key, value);
+  if (due.other) {
+    RunReads(s);
+  }
+  if (due.own) {
+    RunWrites(s);
   }
 }
 
@@ -218,15 +209,14 @@ void Burst::RunWrites(size_t shard) {
   KVStore* store = shards_->shard(static_cast<int>(shard));
   // gadget:blocking-ok: run to completion — a store stall holds this reactor,
   // and that is the server's backpressure.
-  const Status s = store->Write(o.writes);
+  const Status s = store->Write(o.pending.writes());
   for (uint32_t c : o.writers) {
     if (calls_[c].status.ok()) {
       calls_[c].status = s;  // a call's first error sticks
     }
   }
-  o.writes.Clear();
+  o.pending.ClearWrites();
   o.writers.clear();
-  o.written.clear();
 }
 
 void Burst::RunReads(size_t shard) {
@@ -236,16 +226,16 @@ void Burst::RunReads(size_t shard) {
   }
   KVStore* store = shards_->shard(static_cast<int>(shard));
   // gadget:blocking-ok: run to completion, as in RunWrites. Status
-  // intentionally ignored: the per-key statuses carry every outcome.
-  (void)store->MultiGet(o.reads, &values_, &statuses_);
+  // intentionally ignored: the per-key statuses carry every outcome, a
+  // whole-call error included (kvstore.h).
+  (void)store->MultiGet(o.pending.reads(), &values_, &statuses_);
   for (size_t i = 0; i < o.readers.size(); ++i) {
     Call& c = calls_[o.readers[i].first];
     c.statuses[o.readers[i].second] = std::move(statuses_[i]);
     c.values[o.readers[i].second] = std::move(values_[i]);
   }
-  o.reads.clear();
+  o.pending.ClearReads();
   o.readers.clear();
-  o.read.clear();
 }
 
 void Burst::Run() {
@@ -332,9 +322,12 @@ struct Server::Impl {
   // Receives everything currently buffered on `c`. Returns false on EOF or
   // a receive error; the bytes that did arrive stay buffered.
   bool Receive(Conn& c);
-  // Decodes every complete frame buffered on `c`, runs them, and sends their
-  // responses as one burst. Returns false when the connection must close:
-  // a protocol error (the fatal ERROR frame goes out last) or a dead peer.
+  // Decodes the complete frames buffered on `c` in bursts of at most
+  // kMaxBurstFrames, runs each burst, queues its responses, and sends them.
+  // A burst starts only while the output queue is within conn_outq_limit;
+  // frames left over wait in `c.in`. Returns false when the connection must
+  // close: a protocol error (the fatal ERROR frame goes out last) or a dead
+  // peer.
   bool DecodeBurst(IoThread& t, Burst& burst, Conn& c);
   // Writes as much of the output queue as the socket takes, up to kMaxIov
   // bursts per writev, then re-arms. Returns false when the peer is gone.
@@ -458,10 +451,16 @@ void Server::Impl::IoLoop(size_t tid) {
         DropConn(t, fd);
         continue;
       }
+      Conn& c = *it->second;
       if ((ev & EPOLLIN) != 0) {
-        Conn& c = *it->second;
         const bool alive = Receive(c);  // process what arrived before EOF
         if (!DecodeBurst(t, burst, c) || !alive) {
+          DropConn(t, fd);
+        }
+      } else if (c.off < c.in.size() && c.outq_bytes <= options.conn_outq_limit) {
+        // Frames left in `c.in` while the queue was over the limit raise no
+        // new EPOLLIN: decoding resumes once a drain brings it back.
+        if (!DecodeBurst(t, burst, c)) {
           DropConn(t, fd);
         }
       }
@@ -473,10 +472,10 @@ void Server::Impl::IoLoop(size_t tid) {
 bool Server::Impl::Receive(Conn& c) {
   for (;;) {
     std::string error;
-    const int n = net::RecvChunk(c.fd, &c.in, kRecvChunk, &error);
+    const int n = net::RecvChunk(c.fd, &c.in, &error);
     if (n > 0) {
       net.bytes_in.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
-      if (static_cast<size_t>(n) < kRecvChunk) {
+      if (static_cast<size_t>(n) < net::kRecvChunk) {
         // A short chunk took everything the socket held. Skip the recv that
         // would only return EAGAIN: level-triggered epoll reports any later
         // bytes, and EOF, at the next wake.
@@ -491,26 +490,53 @@ bool Server::Impl::Receive(Conn& c) {
 bool Server::Impl::DecodeBurst(IoThread& t, Burst& burst, Conn& c) {
   Request req;
   std::string error;  // connection-fatal protocol error, answered last
-  for (;;) {
-    FrameView frame;
-    size_t consumed = 0;
-    const FrameStatus fs =
-        ExtractFrame(std::string_view(c.in).substr(c.off), &frame, &consumed, &error);
-    if (fs != FrameStatus::kOk) {
-      break;  // torn input waits for more bytes; kError has set `error`
+  bool more = true;  // `c.in` may still hold a complete frame
+  bool queued = false;  // responses queued since the last Drain
+  while (more && error.empty()) {
+    if (c.outq_bytes > options.conn_outq_limit) {
+      if (!Drain(t, c)) {
+        return false;
+      }
+      queued = false;
+      if (c.outq_bytes > options.conn_outq_limit) {
+        break;  // Drain armed EPOLLOUT, whose wake decodes the rest
+      }
     }
-    const Status ps = ParseRequest(frame, &req);
-    if (!ps.ok()) {
-      error = ps.ToString();
-      break;
+    for (size_t n = 0; n < kMaxBurstFrames; ++n) {
+      FrameView frame;
+      size_t consumed = 0;
+      const FrameStatus fs =
+          ExtractFrame(std::string_view(c.in).substr(c.off), &frame, &consumed, &error);
+      if (fs != FrameStatus::kOk) {
+        more = false;  // torn input waits for more bytes; kError has set `error`
+        break;
+      }
+      const Status ps = ParseRequest(frame, &req);
+      if (!ps.ok()) {
+        error = ps.ToString();
+        break;
+      }
+      c.off += consumed;
+      t.ops.fetch_add(1, std::memory_order_relaxed);
+      burst.Add(req);
+      if (req.type == MsgType::kStats) {
+        burst.Run();  // the document covers every earlier frame
+        burst.last().stats = StatsText();
+      }
     }
-    c.off += consumed;
-    t.ops.fetch_add(1, std::memory_order_relaxed);
-    burst.Add(req);
-    if (req.type == MsgType::kStats) {
-      burst.Run();  // the document covers every earlier frame
-      burst.last().stats = StatsText();
+    std::string out;
+    uint64_t frames = burst.Finish(&out);
+    if (!error.empty()) {
+      AppendErrorResponse(&out, 0, error);  // id 0: connection-fatal
+      ++frames;
     }
+    if (out.empty()) {
+      break;  // torn input only: wait for the rest
+    }
+    c.outq_bytes += out.size();
+    c.outq.push_back(OutChunk{std::move(out), frames});
+    UpdateMax(net.outq_bytes_max, c.outq_bytes);
+    queued = true;
   }
 
   // Reclaim consumed bytes once they dominate the buffer.
@@ -518,18 +544,9 @@ bool Server::Impl::DecodeBurst(IoThread& t, Burst& burst, Conn& c) {
     c.in.erase(0, c.off);
     c.off = 0;
   }
-  std::string out;
-  uint64_t frames = burst.Finish(&out);
-  if (!error.empty()) {
-    AppendErrorResponse(&out, 0, error);  // id 0: connection-fatal
-    ++frames;
+  if (!queued) {
+    return true;
   }
-  if (out.empty()) {
-    return true;  // torn input only: wait for the rest
-  }
-  c.outq_bytes += out.size();
-  c.outq.push_back(OutChunk{std::move(out), frames});
-  UpdateMax(net.outq_bytes_max, c.outq_bytes);
   return Drain(t, c) && error.empty();
 }
 

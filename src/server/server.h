@@ -7,13 +7,13 @@
 //     round-robin across reactors (thread 0 also owns the listen socket) and
 //     never migrate. Sockets are non-blocking and level-triggered; a reactor
 //     recv()s each readable one until a read comes back short.
-//   * A reactor decodes every complete frame a wake brought in on one
-//     connection and runs that burst to completion: it groups the burst's ops
-//     per shard into WriteBatch / MultiGet calls (same read-your-writes
-//     conflict rules as the evaluator's ReplayBatched) and calls each shard's
-//     KVStore directly. Any reactor may call any shard, because every engine
-//     is internally synchronized; there is no shard ownership and no
-//     forwarding between reactors.
+//   * A reactor decodes the frames a wake brought in on one connection in
+//     bursts of at most kMaxBurstFrames and runs each burst to completion:
+//     each shard's OpCoalescer groups its ops into WriteBatch / MultiGet
+//     calls, and the reactor calls each shard's KVStore directly. Any
+//     reactor may call any shard, because every engine is internally
+//     synchronized; there is no shard ownership and no forwarding between
+//     reactors.
 //   * A store call that stalls (a sync, a compaction stall) blocks the
 //     reactor that made it, and with it that reactor's other connections.
 //     Other reactors keep running. With sync_writes, one reactor's syncs run
@@ -25,8 +25,9 @@
 //
 // Backpressure (one stage, no drops): a connection whose output queue holds
 // more than `conn_outq_limit` bytes loses EPOLLIN until the queue drains
-// below the limit (accounted as output_queue_stall_micros). Its requests back
-// up in TCP, which pushes the stall back to that client alone.
+// below the limit (accounted as output_queue_stall_micros); frames already
+// received wait undecoded. Its requests back up in TCP, which pushes the
+// stall back to that client alone.
 //
 // Ordering: frames of one connection run in decode order per key, and their
 // responses come back in decode order. A MULTI_GET or WRITE_BATCH whose keys
@@ -50,6 +51,10 @@
 namespace gadget {
 namespace wire {
 
+// Most frames of one connection a reactor runs as one burst. A burst starts
+// only while the connection's output queue is within conn_outq_limit.
+constexpr size_t kMaxBurstFrames = 64;
+
 struct ServerOptions {
   uint16_t port = 0;  // 0 = kernel-assigned; read back with Server::port()
   int shards = 4;
@@ -59,7 +64,7 @@ struct ServerOptions {
   int io_threads = 0;
   // Max bytes of queued responses per connection before the reactor stops
   // reading it (the backpressure knob). A burst's responses are queued whole,
-  // so the queue may overshoot by one burst.
+  // so the queue may overshoot by one burst (kMaxBurstFrames responses).
   size_t conn_outq_limit = 4 << 20;
   // Test hook: shrink each accepted socket's kernel send buffer so a stalled
   // reader makes writev hit EAGAIN with small payloads. 0 = kernel default.

@@ -19,7 +19,7 @@
 //   port_file         read the port from this file when port=0
 //   clients           replay threads, one connection each         (4)
 //   shards            must match the server's shard count         (4)
-//   batch_size        ops coalesced per frame                     (32)
+//   batch_size        max ops per frame (OpCoalescer side cap)    (32)
 //   pipeline_depth    frames in flight per connection             (4)
 //   max_ops           replay budget, 0 = whole trace              (0)
 //   report            write a gadget.report/1 JSON here; carries a

@@ -332,11 +332,13 @@ Status FasterStore::MultiGet(const std::vector<std::string>& keys,
                              std::vector<std::string>* values, std::vector<Status>* statuses,
                              const ReadOptions& /*options*/) {
   values->resize(keys.size());
-  statuses->assign(keys.size(), Status::Ok());
   MutexLock lock(&mu_);
   if (closed_) {
-    return Status::Internal("store is closed");
+    const Status closed = Status::Internal("store is closed");
+    statuses->assign(keys.size(), closed);
+    return closed;
   }
+  statuses->assign(keys.size(), Status::Ok());
   Status first_error;
   for (size_t i = 0; i < keys.size(); ++i) {
     ++stats_.gets;

@@ -133,6 +133,10 @@ class WriteBatch {
     Append(Op::kMerge, key, operand);
   }
   void Delete(std::string_view key) { Append(Op::kDelete, key, {}); }
+  // Put, Merge or Delete by `op`; a delete drops `value`.
+  void Add(Op op, std::string_view key, std::string_view value) {
+    Append(op, key, op == Op::kDelete ? std::string_view() : value);
+  }
 
   // Keeps entry capacity (keys/values reuse their buffers on the next fill).
   void Clear() { size_ = 0; }
@@ -214,10 +218,12 @@ class KVStore {
   virtual Status Write(const WriteBatch& batch);
 
   // Vector point lookup. Resizes *values and *statuses to keys.size();
-  // (*statuses)[i] is Ok/NotFound per key. Duplicate keys are looked up
-  // independently. Returns the first non-NotFound error, else Ok. Engines
-  // with a block-structured read path (LSM/Lethe) resolve all cache misses
-  // as ONE batched I/O wave instead of N serial reads.
+  // (*statuses)[i] is Ok, NotFound or that key's error. Duplicate keys are
+  // looked up independently. Returns the first non-NotFound error, else Ok.
+  // An error that fails the whole call (a closed store, a background error)
+  // is also every key's status, so the statuses alone tell every outcome.
+  // Engines with a block-structured read path (LSM/Lethe) resolve all cache
+  // misses as ONE batched I/O wave instead of N serial reads.
   virtual Status MultiGet(const std::vector<std::string>& keys,
                           std::vector<std::string>* values, std::vector<Status>* statuses,
                           const ReadOptions& options);

@@ -560,6 +560,7 @@ Status LsmStore::MultiGet(const std::vector<std::string>& keys,
     MutexLock lock(&mu_);
     stats_.gets += n;
     if (!bg_error_.ok()) {
+      statuses->assign(n, bg_error_);
       return bg_error_;
     }
     for (size_t i = 0; i < n; ++i) {

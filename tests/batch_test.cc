@@ -321,6 +321,122 @@ TEST(BatchedReplayTest, ReadYourWritesMatchesUnbatchedReplay) {
   }
 }
 
+// Gets, puts, merges and deletes over 50 keys.
+std::vector<StateAccess> MixedTrace(uint64_t n) {
+  std::vector<StateAccess> trace;
+  trace.reserve(n);
+  uint64_t x = 88172645463325252ull;  // xorshift64
+  for (uint64_t i = 0; i < n; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const auto op = static_cast<OpType>(x % 4);
+    const bool sized = op == OpType::kPut || op == OpType::kMerge;
+    trace.push_back(
+        StateAccess{op, StateKey{(x >> 8) % 50, 7}, sized ? static_cast<uint32_t>(1 + i % 30) : 0, i});
+  }
+  return trace;
+}
+
+// A batch-1 replay makes exactly the single-op calls one call per op makes:
+// no Write or MultiGet at all, and every per-op counter equal.
+TEST_P(BatchEngineTest, Batch1ReplayMakesTheSingleOpCalls) {
+  const std::vector<StateAccess> trace = MixedTrace(2'000);
+  const bool has_merge = store_->supports_merge();
+  std::string key;
+  std::string value;
+  for (const StateAccess& a : trace) {
+    EncodeStateKeyTo(a.key, &key);
+    const std::string operand(a.value_size, 'v');
+    Status s;
+    switch (a.op) {
+      case OpType::kGet:
+        s = store_->Get(key, &value);
+        break;
+      case OpType::kPut:
+        s = store_->Put(key, operand);
+        break;
+      case OpType::kMerge:
+        s = has_merge ? store_->Merge(key, operand) : store_->ReadModifyWrite(key, operand);
+        break;
+      case OpType::kDelete:
+        s = store_->Delete(key);
+        break;
+    }
+    ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+  }
+  const StoreStats single = store_->stats();
+
+  std::unique_ptr<KVStore> replayed = MustOpen(GetParam(), dir_->path() + "/db-replayed");
+  ASSERT_NE(replayed, nullptr);
+  auto result = ReplayTrace(trace, replayed.get(), ReplayOptions{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->ops, trace.size());
+  const StoreStats stats = replayed->stats();
+  EXPECT_EQ(stats.batches, 0u);
+  EXPECT_EQ(stats.batched_ops, 0u);
+  EXPECT_EQ(stats.gets, single.gets);
+  EXPECT_EQ(stats.puts, single.puts);
+  EXPECT_EQ(stats.merges, single.merges);
+  EXPECT_EQ(stats.deletes, single.deletes);
+  EXPECT_EQ(stats.rmws, single.rmws);
+  EXPECT_EQ(stats.bytes_written, single.bytes_written);
+  EXPECT_EQ(stats.bytes_read, single.bytes_read);
+  EXPECT_TRUE(replayed->Close().ok());
+}
+
+// At any width a run of one op is the single-op call. Each get followed by a
+// put of its key (the incremental-window pattern) cuts the pending reads at
+// one key, so every get is a Get, and only the writes are batched.
+TEST(BatchedReplayTest, OneKeyReadRunsAsGet) {
+  std::vector<StateAccess> trace;
+  for (uint64_t i = 0; i < 100; ++i) {
+    trace.push_back(StateAccess{OpType::kGet, StateKey{i, 0}, 0, i});
+    trace.push_back(StateAccess{OpType::kPut, StateKey{i, 0}, 16, i});
+  }
+  for (const char* engine : {"mem", "btree"}) {
+    ScopedTempDir dir;
+    std::unique_ptr<KVStore> store = MustOpen(engine, dir.path() + "/db");
+    ASSERT_NE(store, nullptr);
+    ReplayOptions opts;
+    opts.batch_size = 32;
+    auto result = ReplayTrace(trace, store.get(), opts);
+    ASSERT_TRUE(result.ok()) << engine;
+    EXPECT_EQ(result->ops, trace.size()) << engine;
+    EXPECT_EQ(result->not_found, 100u) << engine;
+    const StoreStats stats = store->stats();
+    EXPECT_EQ(stats.gets, 100u) << engine;
+    EXPECT_EQ(stats.puts, 100u) << engine;
+    // Writes of 32, 32, 32 and the trailing 4; no MultiGet.
+    EXPECT_EQ(stats.batches, 4u) << engine;
+    EXPECT_EQ(stats.batched_ops, 100u) << engine;
+    EXPECT_TRUE(store->Close().ok());
+  }
+}
+
+// ------------------------------------------------ whole-call MultiGet errors
+
+// An engine that refuses a closed store fails MultiGet for every key, not
+// just in its return value: callers that read only the per-key statuses (the
+// server) must see the error too.
+TEST(ClosedStoreTest, MultiGetErrorReachesEveryKey) {
+  for (const char* engine : {"btree", "faster"}) {
+    ScopedTempDir dir;
+    std::unique_ptr<KVStore> store = MustOpen(engine, dir.path() + "/db");
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->Put("k", "v").ok());
+    ASSERT_TRUE(store->Close().ok());
+    std::vector<std::string> values;
+    std::vector<Status> statuses;
+    const Status s = store->MultiGet({"k", "missing"}, &values, &statuses);
+    EXPECT_FALSE(s.ok()) << engine;
+    ASSERT_EQ(statuses.size(), 2u) << engine;
+    for (const Status& st : statuses) {
+      EXPECT_FALSE(st.ok() || st.IsNotFound()) << engine << ": " << st.ToString();
+    }
+  }
+}
+
 // ----------------------------------------------- group-commit WAL records
 
 TEST(WalBatchTest, BatchRecordRoundTripsInOrder) {

@@ -1,16 +1,18 @@
 // Tests for the multi-reactor network path (src/server/server.cc): connection
 // sharding across IO threads, every engine called by several reactors at
-// once, pipelined-response writev coalescing, the bounded per-connection
-// output queue under a deliberately stalled reader (frames stay whole and in
-// order, its reads pause, other connections keep being served), and the
-// boot-race connect retry. These are the TSan-lane subjects: everything
-// here runs multiple reactors and client threads against the same stores,
-// counters and queues.
+// once, a burst's per-shard coalescing against a serial store (and its
+// 256-op side cap), pipelined-response writev coalescing, the bounded
+// per-connection output queue under a deliberately stalled reader (frames
+// stay whole and in order, its reads pause, other connections keep being
+// served), and the boot-race connect retry. These are the TSan-lane
+// subjects: everything here runs multiple reactors and client threads
+// against the same stores, counters and queues.
 #include <gtest/gtest.h>
 #include <poll.h>
 
 #include <chrono>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -24,6 +26,7 @@
 #include "src/server/client.h"
 #include "src/server/loadgen.h"
 #include "src/server/net/socket.h"
+#include "src/server/router.h"
 #include "src/server/server.h"
 #include "src/server/wire.h"
 #include "src/stores/kvstore.h"
@@ -255,6 +258,178 @@ TEST(ServerNetTest, BurstRunsInDecodeOrderAcrossShards) {
   (*server)->Stop();
 }
 
+// ------------------------------------------------- one coalescing rule
+
+// A request's expected response.
+struct Expected {
+  MsgType type = MsgType::kOk;
+  std::string value;              // kValue
+  std::vector<uint8_t> statuses;  // kMulti
+  std::vector<std::string> values;
+};
+
+// Applies one request to the serial store and returns its expected response.
+Expected ApplySerially(KVStore* store, MsgType type, const std::vector<std::string>& keys,
+                       const WriteBatch& batch) {
+  Expected e;
+  std::string value;
+  switch (type) {
+    case MsgType::kGet: {
+      const Status s = store->Get(keys[0], &value);
+      e.type = s.ok() ? MsgType::kValue : MsgType::kNotFound;
+      e.value = s.ok() ? value : "";
+      break;
+    }
+    case MsgType::kMultiGet:
+      e.type = MsgType::kMulti;
+      for (const std::string& k : keys) {
+        const Status s = store->Get(k, &value);
+        e.statuses.push_back(s.ok() ? kMultiFound : kMultiNotFound);
+        e.values.push_back(s.ok() ? value : "");
+      }
+      break;
+    default:  // every write is a batch here
+      EXPECT_TRUE(store->Write(batch).ok());
+      break;
+  }
+  return e;
+}
+
+// One Send pipelines a random mix of GET, MULTI_GET, PUT, MERGE, DELETE and
+// WRITE_BATCH frames over 12 keys on 4 shards, so same-key conflicts are
+// frequent across frames and shards. Some frames carry more than 256 ops of
+// one shard, which the server's per-side cap splits. Every response must be
+// what the frames give applied one at a time to a MemStore.
+TEST(ServerNetTest, PipelinedRandomMixMatchesSerialStore) {
+  ServerOptions opts;
+  opts.shards = 4;
+  opts.io_threads = 1;
+  opts.store.engine = "mem";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto fd = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::FramedConn conn(*fd);
+  StoreOptions mem;
+  mem.engine = "mem";
+  auto serial = OpenStore(mem);
+  ASSERT_TRUE(serial.ok());
+
+  const ConsistentHashRouter router(4);
+  std::vector<std::string> keys;
+  std::vector<std::string> shard0_keys;
+  for (int i = 0; keys.size() < 12 || shard0_keys.empty(); ++i) {
+    keys.push_back("mix-" + std::to_string(i));
+    if (router.Route(keys.back()) == 0) {
+      shard0_keys.push_back(keys.back());
+    }
+  }
+  std::mt19937_64 rng(2024);
+  auto pick = [&](const std::vector<std::string>& from) { return from[rng() % from.size()]; };
+
+  std::string out;
+  std::vector<Expected> want;
+  int long_frames = 0;
+  for (uint32_t id = 1; id <= 1500; ++id) {
+    std::vector<std::string> read_keys;
+    WriteBatch batch;
+    MsgType type = MsgType::kWriteBatch;
+    const std::string value = std::to_string(id) + ";";
+    const uint64_t kind = rng() % 8;
+    // About one frame in 100 carries 300 ops of shard 0: past the cap.
+    const size_t long_run = rng() % 100 == 0 ? 300 : 0;
+    if (kind == 0) {
+      type = MsgType::kGet;
+      read_keys.push_back(pick(keys));
+      AppendGetRequest(&out, id, read_keys[0]);
+    } else if (kind == 1 || (kind == 2 && long_run != 0)) {
+      type = MsgType::kMultiGet;
+      for (size_t n = long_run != 0 ? long_run : 1 + rng() % 8; n > 0; --n) {
+        read_keys.push_back(long_run != 0 ? pick(shard0_keys) : pick(keys));
+      }
+      AppendMultiGetRequest(&out, id, read_keys);
+    } else if (kind == 2) {
+      batch.Put(pick(keys), value);
+      AppendPutRequest(&out, id, batch.entry(0).key, value);
+    } else if (kind == 3) {
+      batch.Merge(pick(keys), value);
+      AppendMergeRequest(&out, id, batch.entry(0).key, value);
+    } else if (kind == 4) {
+      batch.Delete(pick(keys));
+      AppendDeleteRequest(&out, id, batch.entry(0).key);
+    } else {
+      for (size_t n = long_run != 0 ? long_run : 1 + rng() % 8; n > 0; --n) {
+        const std::string k = long_run != 0 ? pick(shard0_keys) : pick(keys);
+        const uint64_t op = rng() % 3;
+        if (op == 0) {
+          batch.Put(k, value);
+        } else if (op == 1) {
+          batch.Merge(k, value);
+        } else {
+          batch.Delete(k);
+        }
+      }
+      AppendWriteBatchRequest(&out, id, batch);
+    }
+    want.push_back(ApplySerially(serial->get(), type, read_keys, batch));
+    if (long_run != 0 && read_keys.size() + batch.size() == long_run) {
+      ++long_frames;
+    }
+  }
+  ASSERT_GT(long_frames, 0) << "no frame reached the cap";
+  ASSERT_TRUE(conn.Send(out).ok());
+
+  for (uint32_t id = 1; id <= want.size(); ++id) {
+    const Expected& e = want[id - 1];
+    Response rsp;
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok()) << "response " << id;
+    ASSERT_EQ(rsp.id, id);
+    ASSERT_EQ(rsp.type, e.type) << "request " << id;
+    EXPECT_EQ(rsp.value, e.value) << "request " << id;
+    EXPECT_EQ(rsp.statuses, e.statuses) << "request " << id;
+    EXPECT_EQ(rsp.values, e.values) << "request " << id;
+  }
+  (*server)->Stop();
+}
+
+// A side longer than the server's 256-op cap runs in 256-op calls: a
+// WRITE_BATCH and a MULTI_GET of 600 ops on one shard make three calls each.
+TEST(ServerNetTest, ShardSideCapSplitsLongSides) {
+  ServerOptions opts;
+  opts.shards = 2;
+  opts.io_threads = 1;
+  opts.store.engine = "mem";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect((*server)->port(), 1);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  const ConsistentHashRouter router(2);
+  std::vector<std::string> keys;
+  WriteBatch batch;
+  for (int i = 0; keys.size() < 600; ++i) {
+    std::string key = "cap-" + std::to_string(i);
+    if (router.Route(key) == 0) {
+      batch.Put(key, "v" + std::to_string(i));
+      keys.push_back(std::move(key));
+    }
+  }
+  KVStore* shard = (*server)->shard_set()->shard(0);
+  ASSERT_TRUE((*client)->Write(batch).ok());
+  EXPECT_EQ(shard->stats().batches, 3u);
+  EXPECT_EQ(shard->stats().batched_ops, 600u);
+  std::vector<std::string> values;
+  std::vector<Status> statuses;
+  ASSERT_TRUE((*client)->MultiGet(keys, &values, &statuses).ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(statuses[i].ok()) << keys[i];
+    EXPECT_EQ(values[i], batch.entry(i).value);
+  }
+  EXPECT_EQ(shard->stats().batches, 6u);
+  EXPECT_EQ(shard->stats().batched_ops, 1200u);
+  (*server)->Stop();
+}
+
 // --------------------------------------------------- writev coalescing
 
 // A deep pipelined burst decoded as one task produces one response burst, so
@@ -385,11 +560,13 @@ TEST(ServerNetTest, SlowReaderBackpressureKeepsFramesWholeAndOrdered) {
   });
   EXPECT_GT(ns.output_queue_stall_micros, 0u)
       << "reads never paused on the stalled reader";
-  // A burst's responses are queued whole, and reads pause only once the
-  // queue is over the cap, so the high-water mark is at least one burst and
-  // well below the total pushed through.
+  // A burst's responses are queued whole, and a burst starts only while the
+  // queue is within the cap, so the high-water mark is at least the cap and
+  // at most the cap plus one burst of kMaxBurstFrames responses, however
+  // much backlog the paused connection built up.
   EXPECT_GE(ns.output_queue_bytes_max, opts.conn_outq_limit);
-  EXPECT_LT(ns.output_queue_bytes_max, static_cast<uint64_t>(total) * kSlowValueBytes);
+  EXPECT_LE(ns.output_queue_bytes_max,
+            opts.conn_outq_limit + kMaxBurstFrames * (kSlowValueBytes + 64));
   EXPECT_GE(ns.bytes_out, static_cast<uint64_t>(total) * kSlowValueBytes);
 
   // The server shook off the stall completely: a fresh client works.

@@ -372,6 +372,48 @@ TEST(ServerTest, FullRequestVocabularyOverLoopback) {
   (*server)->Stop();
 }
 
+// A shard whose store refuses reads (here: closed under the running server)
+// answers a GET with ERROR and every key of a MULTI_GET with an error
+// status, never with OK and an empty value.
+TEST(ServerTest, ClosedShardAnswersReadsWithErrors) {
+  for (const char* engine : {"btree", "faster"}) {
+    ScopedTempDir tmp("gadget-server-test");
+    ServerOptions opts;
+    opts.shards = 1;
+    opts.io_threads = 1;
+    opts.store.engine = engine;
+    opts.store.dir = tmp.path() + "/db";
+    auto server = Server::Start(opts);
+    ASSERT_TRUE(server.ok()) << engine << ": " << server.status().ToString();
+    auto fd = net::TcpConnect((*server)->port());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    net::FramedConn conn(*fd);
+    std::string out;
+    AppendPutRequest(&out, 1, "k", "v");
+    ASSERT_TRUE(conn.Send(out).ok());
+    Response rsp;
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+    ASSERT_EQ(rsp.type, MsgType::kOk) << engine;
+
+    ASSERT_TRUE((*server)->shard_set()->shard(0)->Close().ok()) << engine;
+    out.clear();
+    AppendGetRequest(&out, 2, "k");
+    AppendMultiGetRequest(&out, 3, {"k", "missing"});
+    ASSERT_TRUE(conn.Send(out).ok());
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+    EXPECT_EQ(rsp.id, 2u);
+    EXPECT_EQ(rsp.type, MsgType::kError) << engine << ": GET of a closed shard";
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+    EXPECT_EQ(rsp.id, 3u);
+    ASSERT_EQ(rsp.type, MsgType::kMulti) << engine;
+    ASSERT_EQ(rsp.statuses.size(), 2u);
+    for (uint8_t st : rsp.statuses) {
+      EXPECT_EQ(st, kMultiError) << engine << ": MULTI_GET of a closed shard";
+    }
+    (*server)->Stop();
+  }
+}
+
 // A stand-in server for one connection, for read errors no real engine
 // produces on demand: PING, STATS and writes succeed; in a MULTI_GET, key
 // "hit" is found, "miss" is not, and every other key fails with an IoError.
