@@ -16,6 +16,8 @@
 #include "src/common/file_util.h"
 #include "src/common/json.h"
 #include "src/server/wire.h"
+#include "src/stores/btree/btree_store.h"
+#include "src/stores/btree/page.h"
 #include "src/stores/lsm/sstable.h"
 #include "src/stores/lsm/version.h"
 #include "src/stores/lsm/wal.h"
@@ -228,6 +230,117 @@ bool GenTrace(const std::string& root) {
          Emit(root, "trace", "access", std::string(1, '\x00') + FileBytes(apath));
 }
 
+bool GenBTreePage(const std::string& root) {
+  constexpr uint32_t kPage = 512;  // fuzz_btree_page.cc's page size
+  std::string scratch;
+  auto key_of = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%03d", i);
+    return std::string(key);
+  };
+  auto fixed16 = [](uint16_t v) { return std::string(reinterpret_cast<const char*>(&v), 2); };
+  auto fixed32 = [](uint32_t v) { return std::string(reinterpret_cast<const char*>(&v), 4); };
+  auto new_page = [&](uint8_t type, uint32_t link) {
+    std::string page(kPage, '\0');
+    BTreePage(page.data(), kPage).Init(type, link);
+    return page;
+  };
+  // Mode 0 = one page: mode byte, key-length byte, key, page.
+  auto page_input = [](std::string_view key, const std::string& page) {
+    std::string input(1, '\x00');
+    input.push_back(static_cast<char>(key.size()));
+    input.append(key);
+    return input + page;
+  };
+
+  const std::string empty = new_page(kLeafPage, 0);
+
+  std::string full = new_page(kLeafPage, 9);
+  BTreePage full_view(full.data(), kPage);
+  for (int i = 0;; ++i) {
+    const std::string value = "value-" + std::to_string(i);
+    if (!full_view.Insert(full_view.count(),
+                          {key_of(i), fixed16(static_cast<uint16_t>(value.size())), value},
+                          &scratch)) {
+      break;
+    }
+  }
+
+  std::string internal = new_page(kInternalPage, 2);
+  BTreePage internal_view(internal.data(), kPage);
+  for (int i = 0; i < 10; ++i) {
+    if (!internal_view.Insert(i, {key_of(10 * i), fixed32(3 + i), {}}, &scratch)) {
+      return false;
+    }
+  }
+
+  // One inline value and one overflow reference (head page 5, 1,000 bytes).
+  std::string overflow = new_page(kLeafPage, 0);
+  BTreePage overflow_view(overflow.data(), kPage);
+  if (!overflow_view.Insert(0, {"k001", fixed16(3), "abc"}, &scratch) ||
+      !overflow_view.Insert(1, {"k002", fixed16(kOverflowTag) + fixed32(5) + fixed32(1000), {}},
+                            &scratch)) {
+    return false;
+  }
+
+  // Two slots naming one record: within bounds and accounted for (heap moved
+  // down by one record), but out of order and overlapping.
+  std::string overlap = new_page(kLeafPage, 0);
+  BTreePage overlap_view(overlap.data(), kPage);
+  if (!overlap_view.Insert(0, {"k001", fixed16(3), "abc"}, &scratch)) {
+    return false;
+  }
+  const size_t record = overlap_view.record_size(0);
+  overlap.replace(kPageHeaderSize + kSlotSize, kSlotSize, overlap, kPageHeaderSize, kSlotSize);
+  overlap.replace(2, 2, fixed16(2));
+  overlap.replace(8, 2, fixed16(static_cast<uint16_t>(kPage - 2 * record)));
+
+  // Mode 1 = a whole btree.db: a two-level tree with one overflow value.
+  ScopedTempDir tmp("gadget_corpus");
+  {
+    BTreeOptions opts;
+    opts.page_size = kPage;
+    auto store = BTreeStore::Open(tmp.path(), opts);
+    if (!store.ok()) {
+      return false;
+    }
+    for (int i = 0; i < 80; ++i) {
+      if (!(*store)->Put(key_of(i), "value-" + std::to_string(i)).ok()) {
+        return false;
+      }
+    }
+    if (!(*store)->Put(key_of(40), std::string(600, 'o')).ok() || !(*store)->Close().ok()) {
+      return false;
+    }
+  }
+  const std::string file = FileBytes(tmp.path() + "/btree.db");
+  if (file.size() < 2 * kPage) {
+    return false;
+  }
+  auto file_input = [](std::string_view key, uint8_t value_units, const std::string& bytes) {
+    std::string input(1, '\x01');
+    input.push_back(static_cast<char>(key.size()));
+    input.append(key);
+    input.push_back(static_cast<char>(value_units));
+    return input + bytes;
+  };
+  // The root's first child pointing back at the root.
+  std::string cycle = file;
+  const uint32_t root_id = DecodeFixed32(cycle.data() + 4);
+  if (static_cast<size_t>(root_id + 1) * kPage > cycle.size()) {
+    return false;
+  }
+  cycle.replace(static_cast<size_t>(root_id) * kPage + 4, 4, fixed32(root_id));
+
+  return Emit(root, "btree_page", "empty_leaf", page_input("k001", empty)) &&
+         Emit(root, "btree_page", "full_leaf", page_input(key_of(3), full)) &&
+         Emit(root, "btree_page", "internal", page_input("k055", internal)) &&
+         Emit(root, "btree_page", "overflow_ref", page_input("k002", overflow)) &&
+         Emit(root, "btree_page", "overlapping_slots", page_input("k001", overlap)) &&
+         Emit(root, "btree_page", "tree", file_input(key_of(41), 40, file)) &&
+         Emit(root, "btree_page", "child_cycle", file_input(key_of(7), 2, cycle));
+}
+
 }  // namespace
 }  // namespace gadget
 
@@ -242,6 +355,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   bool ok = gadget::GenWire(root) && gadget::GenJson(root) && gadget::GenWal(root) &&
-            gadget::GenManifest(root) && gadget::GenSSTable(root) && gadget::GenTrace(root);
+            gadget::GenManifest(root) && gadget::GenSSTable(root) && gadget::GenTrace(root) &&
+            gadget::GenBTreePage(root);
   return ok ? 0 : 1;
 }

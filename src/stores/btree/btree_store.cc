@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <unordered_set>
 
 #include "src/common/coding.h"
 #include "src/common/file_util.h"
@@ -13,152 +14,15 @@
 namespace gadget {
 namespace {
 
+// Meta page (page 0): magic, root, next page, free-list head, height, page
+// format, page size. Format 2 is the slotted page (page.h); the decoded-node
+// files before it have 0 where the format goes.
 constexpr uint32_t kMetaMagic = 0x42545245;  // "BTRE"
-constexpr uint8_t kLeafType = 1;
-constexpr uint8_t kInternalType = 2;
+constexpr uint32_t kPageFormat = 2;
 
 std::string TreePath(const std::string& dir) { return dir + "/btree.db"; }
 
 }  // namespace
-
-size_t BTreeStore::Node::EntryBytes(size_t i) const {
-  if (!leaf) {
-    return 2 + keys[i].size() + 4;  // klen + key + right child
-  }
-  const ValueRef& v = values[i];
-  // klen + key + flag + (vlen + bytes | overflow head + total length)
-  return 2 + keys[i].size() + 1 + (v.overflow_head == 0 ? 4 + v.inline_data.size() : 8);
-}
-
-size_t BTreeStore::Node::SerializedSize() const {
-  size_t size = 1 + 2 + 4;  // type + nkeys + next_leaf
-  if (!leaf) {
-    size += 4;  // child0
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    size += EntryBytes(i);
-  }
-  return size;
-}
-
-std::string BTreeStore::SerializeNode(const Node& node) const {
-  std::string out;
-  out.reserve(opts_.page_size);
-  out.push_back(static_cast<char>(node.leaf ? kLeafType : kInternalType));
-  uint16_t nkeys = static_cast<uint16_t>(node.keys.size());
-  out.push_back(static_cast<char>(nkeys & 0xff));
-  out.push_back(static_cast<char>(nkeys >> 8));
-  PutFixed32(&out, node.next_leaf);
-  if (node.leaf) {
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      uint16_t klen = static_cast<uint16_t>(node.keys[i].size());
-      out.push_back(static_cast<char>(klen & 0xff));
-      out.push_back(static_cast<char>(klen >> 8));
-      out += node.keys[i];
-      const ValueRef& v = node.values[i];
-      if (v.overflow_head == 0) {
-        out.push_back(0);
-        PutFixed32(&out, static_cast<uint32_t>(v.inline_data.size()));
-        out += v.inline_data;
-      } else {
-        out.push_back(1);
-        PutFixed32(&out, v.overflow_head);
-        PutFixed32(&out, v.total_len);
-      }
-    }
-  } else {
-    PutFixed32(&out, node.children[0]);
-    for (size_t i = 0; i < node.keys.size(); ++i) {
-      uint16_t klen = static_cast<uint16_t>(node.keys[i].size());
-      out.push_back(static_cast<char>(klen & 0xff));
-      out.push_back(static_cast<char>(klen >> 8));
-      out += node.keys[i];
-      PutFixed32(&out, node.children[i + 1]);
-    }
-  }
-  out.resize(opts_.page_size, '\0');
-  return out;
-}
-
-StatusOr<BTreeStore::Node> BTreeStore::DeserializeNode(std::string_view data) const {
-  if (data.size() < 7) {
-    return Status::Corruption("btree page too small");
-  }
-  Node node;
-  const char* p = data.data();
-  const char* end = p + data.size();
-  uint8_t type = static_cast<uint8_t>(*p++);
-  if (type != kLeafType && type != kInternalType) {
-    return Status::Corruption("bad btree page type");
-  }
-  node.leaf = type == kLeafType;
-  uint16_t nkeys = static_cast<uint8_t>(p[0]) | (static_cast<uint8_t>(p[1]) << 8);
-  p += 2;
-  node.next_leaf = DecodeFixed32(p);
-  p += 4;
-  auto need = [&](size_t n) { return static_cast<size_t>(end - p) >= n; };
-  if (node.leaf) {
-    node.keys.reserve(nkeys);
-    node.values.reserve(nkeys);
-    for (uint16_t i = 0; i < nkeys; ++i) {
-      if (!need(2)) {
-        return Status::Corruption("truncated leaf entry");
-      }
-      uint16_t klen = static_cast<uint8_t>(p[0]) | (static_cast<uint8_t>(p[1]) << 8);
-      p += 2;
-      if (!need(klen + 1)) {
-        return Status::Corruption("truncated leaf key");
-      }
-      node.keys.emplace_back(p, klen);
-      p += klen;
-      uint8_t flag = static_cast<uint8_t>(*p++);
-      ValueRef v;
-      if (flag == 0) {
-        if (!need(4)) {
-          return Status::Corruption("truncated leaf value len");
-        }
-        uint32_t vlen = DecodeFixed32(p);
-        p += 4;
-        if (!need(vlen)) {
-          return Status::Corruption("truncated leaf value");
-        }
-        v.inline_data.assign(p, vlen);
-        p += vlen;
-      } else {
-        if (!need(8)) {
-          return Status::Corruption("truncated overflow ref");
-        }
-        v.overflow_head = DecodeFixed32(p);
-        v.total_len = DecodeFixed32(p + 4);
-        p += 8;
-      }
-      node.values.push_back(std::move(v));
-    }
-  } else {
-    if (!need(4)) {
-      return Status::Corruption("truncated internal node");
-    }
-    node.children.push_back(DecodeFixed32(p));
-    p += 4;
-    node.keys.reserve(nkeys);
-    for (uint16_t i = 0; i < nkeys; ++i) {
-      if (!need(2)) {
-        return Status::Corruption("truncated internal entry");
-      }
-      uint16_t klen = static_cast<uint8_t>(p[0]) | (static_cast<uint8_t>(p[1]) << 8);
-      p += 2;
-      if (!need(klen + 4)) {
-        return Status::Corruption("truncated internal key");
-      }
-      node.keys.emplace_back(p, klen);
-      p += klen;
-      node.children.push_back(DecodeFixed32(p));
-      p += 4;
-    }
-  }
-  node.bytes = static_cast<size_t>(p - data.data());  // the parsed prefix is the node
-  return node;
-}
 
 // -------------------------------------------------------------------- admin
 
@@ -177,6 +41,11 @@ BTreeStore::~BTreeStore() { (void)Close(); }
 StatusOr<std::unique_ptr<KVStore>> BTreeStore::Open(const std::string& dir,
                                                     const BTreeOptions& opts,
                                                     std::shared_ptr<BufferPool> pool) {
+  if (opts.page_size < kMinPageSize || opts.page_size > kMaxPageSize) {
+    return Status::InvalidArgument("btree page_size " + std::to_string(opts.page_size) +
+                                   " outside [" + std::to_string(kMinPageSize) + ", " +
+                                   std::to_string(kMaxPageSize) + "]");
+  }
   GADGET_RETURN_IF_ERROR(CreateDirIfMissing(dir));
   std::unique_ptr<BTreeStore> store(new BTreeStore(dir, opts, std::move(pool)));
   GADGET_RETURN_IF_ERROR(store->Recover());
@@ -186,6 +55,7 @@ StatusOr<std::unique_ptr<KVStore>> BTreeStore::Open(const std::string& dir,
 Status BTreeStore::Recover() {
   MutexLock lock(&mu_);
   overshoots_seen_ = pool_->overshoots();
+  scratch_.assign(opts_.page_size, '\0');
   const std::string path = TreePath(dir_);
   bool fresh = !FileExists(path);
   fd_ = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
@@ -197,20 +67,42 @@ Status BTreeStore::Recover() {
     next_page_ = 2;
     free_head_ = 0;
     height_ = 1;
-    Node empty_root;
-    empty_root.leaf = true;
-    GADGET_RETURN_IF_ERROR(WriteNode(root_, empty_root));
+    std::string root(opts_.page_size, '\0');
+    View(root.data()).Init(kLeafPage, 0);
+    GADGET_RETURN_IF_ERROR(WritePageRaw(root_, root.data()));
     return PersistMeta();
   }
+  auto file_size = FileSize(path);
+  if (!file_size.ok()) {
+    return file_size.status();
+  }
+  if (*file_size < opts_.page_size) {
+    return Status::Corruption(path + ": shorter than its meta page");
+  }
+  // The meta page's I/O is not counted in io_bytes_*, which count pages.
   std::string meta(opts_.page_size, '\0');
   GADGET_RETURN_IF_ERROR(PreadAll(fd_, meta.data(), meta.size(), 0));
-  if (DecodeFixed32(meta.data()) != kMetaMagic) {
-    return Status::Corruption("bad btree meta page");
+  const uint32_t format = DecodeFixed32(meta.data() + 20);
+  if (DecodeFixed32(meta.data()) != kMetaMagic || format != kPageFormat) {
+    return Status::Corruption(path + ": not a btree page file of format " +
+                              std::to_string(kPageFormat) + " (format " + std::to_string(format) +
+                              ")");
+  }
+  const uint32_t page_size = DecodeFixed32(meta.data() + 24);
+  if (page_size != opts_.page_size) {
+    return Status::InvalidArgument(path + ": pages of " + std::to_string(page_size) +
+                                   " bytes, opened with " + std::to_string(opts_.page_size));
   }
   root_ = DecodeFixed32(meta.data() + 4);
   next_page_ = DecodeFixed32(meta.data() + 8);
   free_head_ = DecodeFixed32(meta.data() + 12);
   height_ = DecodeFixed32(meta.data() + 16);
+  // Every page below next_page_ was written before the meta page was, and a
+  // tree of height h has at least h pages.
+  if (static_cast<uint64_t>(next_page_) * opts_.page_size > *file_size || root_ == 0 ||
+      root_ >= next_page_ || free_head_ >= next_page_ || height_ == 0 || height_ >= next_page_) {
+    return Status::Corruption(path + ": meta page out of range of the file");
+  }
   return Status::Ok();
 }
 
@@ -221,71 +113,79 @@ Status BTreeStore::PersistMeta() {
   PutFixed32(&meta, next_page_);
   PutFixed32(&meta, free_head_);
   PutFixed32(&meta, height_);
+  PutFixed32(&meta, kPageFormat);
+  PutFixed32(&meta, opts_.page_size);
   meta.resize(opts_.page_size, '\0');
   return PwriteAll(fd_, meta.data(), meta.size(), 0);
 }
 
+Status BTreeStore::CheckKeySize(std::string_view key) const {
+  if (key.size() > MaxKeyBytes(opts_.page_size)) {
+    return Status::InvalidArgument("btree key of " + std::to_string(key.size()) +
+                                   " bytes; pages of " + std::to_string(opts_.page_size) +
+                                   " bytes take at most " +
+                                   std::to_string(MaxKeyBytes(opts_.page_size)));
+  }
+  return Status::Ok();
+}
+
 // --------------------------------------------------------------- page cache
 
-Status BTreeStore::ReadPageRaw(uint32_t page_id, std::string* out) {
-  out->resize(opts_.page_size);
+Status BTreeStore::ReadPageRaw(uint32_t page_id, char* out) {
   stats_.io_bytes_read += opts_.page_size;
-  return PreadAll(fd_, out->data(), out->size(),
-                  static_cast<uint64_t>(page_id) * opts_.page_size);
+  return PreadAll(fd_, out, opts_.page_size, static_cast<uint64_t>(page_id) * opts_.page_size);
 }
 
-Status BTreeStore::WritePageRaw(uint32_t page_id, std::string_view data) {
+Status BTreeStore::WritePageRaw(uint32_t page_id, const char* data) {
   stats_.io_bytes_written += opts_.page_size;
-  return PwriteAll(fd_, data.data(), data.size(),
-                   static_cast<uint64_t>(page_id) * opts_.page_size);
+  return PwriteAll(fd_, data, opts_.page_size, static_cast<uint64_t>(page_id) * opts_.page_size);
 }
 
-Status BTreeStore::WriteNode(uint32_t page_id, const Node& node) {
-  return WritePageRaw(page_id, SerializeNode(node));
-}
-
-StatusOr<BTreeStore::Node> BTreeStore::ReadNode(uint32_t page_id) {
-  std::string raw;
-  GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
-  return DeserializeNode(raw);
-}
-
-StatusOr<BTreeStore::NodeRef> BTreeStore::FetchNode(uint32_t page_id, bool fill_cache) {
-  NodeRef ref;
+StatusOr<BTreeStore::PageRef> BTreeStore::FetchPage(uint32_t page_id, bool fill_cache) {
+  PageRef ref;
   ref.page_id = page_id;
   ref.pin = pool_->Lookup(pool_file_id_, page_id);
   if (ref.pin && ref.pin.object() != nullptr) {
-    ref.node = static_cast<Node*>(ref.pin.object().get());
+    ref.page = static_cast<char*>(ref.pin.object().get());
     return ref;
   }
-  auto node = ReadNode(page_id);
-  if (!node.ok()) {
-    return node.status();
+  if (page_id == 0 || page_id >= next_page_) {
+    return Status::Corruption(TreePath(dir_) + ": page id " + std::to_string(page_id) +
+                              " outside the tree's " + std::to_string(next_page_) + " pages");
+  }
+  auto bytes = std::make_shared<char[]>(opts_.page_size);
+  GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, bytes.get()));
+  const Status check = CheckBTreePage({bytes.get(), opts_.page_size});
+  if (!check.ok()) {
+    return Status::Corruption(TreePath(dir_) + ": page " + std::to_string(page_id) + ": " +
+                              check.message());
   }
   if (fill_cache) {
-    auto object = std::make_shared<Node>(std::move(*node));
-    ref.node = object.get();
-    ref.pin = pool_->Insert(pool_file_id_, page_id, nullptr, std::move(object), opts_.page_size);
+    ref.pin = pool_->Insert(pool_file_id_, page_id, nullptr, std::move(bytes), opts_.page_size);
+    ref.page = static_cast<char*>(ref.pin.object().get());
   } else {
-    ref.uncached = std::make_unique<Node>(std::move(*node));
-    ref.node = ref.uncached.get();
+    ref.page = bytes.get();
+    ref.uncached = std::move(bytes);
   }
   return ref;
 }
 
-void BTreeStore::MarkDirty(NodeRef* ref) {
+void BTreeStore::MarkDirty(PageRef* ref) {
   // Writers fetch with fill_cache, so `ref` always holds a pin to keep.
   dirty_.try_emplace(ref->page_id, std::move(ref->pin));
 }
 
-void BTreeStore::InstallNode(uint32_t page_id, std::shared_ptr<Node> node) {
-  dirty_.try_emplace(page_id, pool_->Insert(pool_file_id_, page_id, nullptr, std::move(node),
-                                            opts_.page_size));
+char* BTreeStore::InstallPage(uint32_t page_id) {
+  PinnedBlock pin = pool_->Insert(pool_file_id_, page_id, nullptr,
+                                  std::make_shared<char[]>(opts_.page_size), opts_.page_size);
+  char* page = static_cast<char*>(pin.object().get());
+  dirty_.try_emplace(page_id, std::move(pin));
+  return page;
 }
 
 Status BTreeStore::WriteBackDirtyLocked() {
   for (const auto& [page_id, pin] : dirty_) {
-    GADGET_RETURN_IF_ERROR(WriteNode(page_id, *static_cast<const Node*>(pin.object().get())));
+    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, static_cast<const char*>(pin.object().get())));
     ++stats_.flushes;
   }
   dirty_.clear();
@@ -304,8 +204,8 @@ Status BTreeStore::MaybeWriteBackLocked() {
 uint32_t BTreeStore::AllocPage() {
   if (free_head_ != 0) {
     // Pop from the free list: the page's first 4 bytes hold the next id.
-    std::string raw;
-    if (ReadPageRaw(free_head_, &raw).ok()) {
+    std::string raw(opts_.page_size, '\0');
+    if (ReadPageRaw(free_head_, raw.data()).ok()) {
       uint32_t page = free_head_;
       free_head_ = DecodeFixed32(raw.data());
       return page;
@@ -320,26 +220,20 @@ void BTreeStore::FreePage(uint32_t page_id) {
   std::string raw;
   PutFixed32(&raw, free_head_);
   raw.resize(opts_.page_size, '\0');
-  if (WritePageRaw(page_id, raw).ok()) {
+  if (WritePageRaw(page_id, raw.data()).ok()) {
     free_head_ = page_id;
   }
 }
 
 // ---------------------------------------------------------- overflow values
 
-StatusOr<BTreeStore::ValueRef> BTreeStore::StoreValue(std::string_view value) {
-  ValueRef ref;
-  if (value.size() <= opts_.page_size / 4) {
-    ref.inline_data.assign(value.data(), value.size());
-    return ref;
-  }
+StatusOr<uint32_t> BTreeStore::StoreOverflow(std::string_view value) {
   // Chain of overflow pages: u32 next | u32 chunk_len | bytes.
-  ref.total_len = static_cast<uint32_t>(value.size());
   const size_t chunk_cap = opts_.page_size - 8;
-  size_t offset = 0;
+  uint32_t head = 0;
   uint32_t prev_page = 0;
   std::string page;
-  while (offset < value.size()) {
+  for (size_t offset = 0; offset < value.size();) {
     size_t chunk = std::min(chunk_cap, value.size() - offset);
     uint32_t page_id = AllocPage();
     page.clear();
@@ -347,9 +241,9 @@ StatusOr<BTreeStore::ValueRef> BTreeStore::StoreValue(std::string_view value) {
     PutFixed32(&page, static_cast<uint32_t>(chunk));
     page.append(value.data() + offset, chunk);
     page.resize(opts_.page_size, '\0');
-    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, page));
+    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, page.data()));
     if (prev_page == 0) {
-      ref.overflow_head = page_id;
+      head = page_id;
     } else {
       // Patch the previous page's next pointer.
       std::string next_bytes;
@@ -360,20 +254,28 @@ StatusOr<BTreeStore::ValueRef> BTreeStore::StoreValue(std::string_view value) {
     prev_page = page_id;
     offset += chunk;
   }
-  return ref;
+  return head;
 }
 
-Status BTreeStore::LoadValue(const ValueRef& ref, std::string* out) {
-  if (ref.overflow_head == 0) {
-    *out = ref.inline_data;
+Status BTreeStore::LoadValue(const BTreePage& leaf, size_t i, std::string* out) {
+  if (!leaf.overflowed(i)) {
+    out->assign(leaf.inline_value(i));
     return Status::Ok();
   }
+  const uint32_t length = leaf.overflow_length(i);
+  const uint64_t max_pages = ChainPages(length);
+  if (max_pages > next_page_) {
+    return Status::Corruption("overflow value longer than the page file");
+  }
   out->clear();
-  out->reserve(ref.total_len);
-  uint32_t page_id = ref.overflow_head;
-  std::string raw;
-  while (page_id != 0) {
-    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, &raw));
+  out->reserve(length);
+  std::string raw(opts_.page_size, '\0');
+  uint32_t page_id = leaf.overflow_head(i);
+  for (uint64_t pages = 0; page_id != 0; ++pages) {
+    if (pages == max_pages || page_id >= next_page_) {
+      return Status::Corruption("bad overflow chain");
+    }
+    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, raw.data()));
     uint32_t next = DecodeFixed32(raw.data());
     uint32_t chunk = DecodeFixed32(raw.data() + 4);
     if (chunk > opts_.page_size - 8) {
@@ -382,17 +284,21 @@ Status BTreeStore::LoadValue(const ValueRef& ref, std::string* out) {
     out->append(raw.data() + 8, chunk);
     page_id = next;
   }
-  if (out->size() != ref.total_len) {
+  if (out->size() != length) {
     return Status::Corruption("overflow chain length mismatch");
   }
   return Status::Ok();
 }
 
-void BTreeStore::ReleaseValue(const ValueRef& ref) {
-  uint32_t page_id = ref.overflow_head;
-  std::string raw;
-  while (page_id != 0) {
-    if (!ReadPageRaw(page_id, &raw).ok()) {
+void BTreeStore::ReleaseValue(const BTreePage& leaf, size_t i) {
+  if (!leaf.overflowed(i)) {
+    return;
+  }
+  const uint64_t max_pages = ChainPages(leaf.overflow_length(i));
+  std::string raw(opts_.page_size, '\0');
+  uint32_t page_id = leaf.overflow_head(i);
+  for (uint64_t pages = 0; page_id != 0 && page_id < next_page_ && pages < max_pages; ++pages) {
+    if (!ReadPageRaw(page_id, raw.data()).ok()) {
       return;
     }
     uint32_t next = DecodeFixed32(raw.data());
@@ -403,28 +309,34 @@ void BTreeStore::ReleaseValue(const ValueRef& ref) {
 
 // ----------------------------------------------------------------- tree ops
 
-StatusOr<BTreeStore::NodeRef> BTreeStore::DescendToLeaf(std::string_view key,
+StatusOr<BTreeStore::PageRef> BTreeStore::DescendToLeaf(std::string_view key,
                                                         std::vector<PathEntry>* path,
                                                         bool fill_cache) {
   if (path != nullptr) {
     path->clear();
   }
-  auto ref = FetchNode(root_, fill_cache);
-  while (ref.ok() && !ref->node->leaf) {
-    const auto& keys = ref->node->keys;
-    size_t idx = static_cast<size_t>(
-        std::upper_bound(keys.begin(), keys.end(), key,
-                         [](std::string_view k, const std::string& sep) { return k < sep; }) -
-        keys.begin());
+  auto ref = FetchPage(root_, fill_cache);
+  for (uint32_t depth = 1; ref.ok(); ++depth) {
+    const BTreePage page = View(ref->page);
+    if (page.leaf() != (depth == height_)) {
+      return Status::Corruption(TreePath(dir_) + ": page " + std::to_string(ref->page_id) +
+                                " at depth " + std::to_string(depth) + " of a tree of height " +
+                                std::to_string(height_) +
+                                (page.leaf() ? " is a leaf" : " is internal"));
+    }
+    if (page.leaf()) {
+      break;
+    }
+    const size_t idx = page.UpperBound(key);
     if (path != nullptr) {
       path->push_back(PathEntry{ref->page_id, idx});
     }
     // Unpin the parent before fetching the child: under pool pressure a
     // clean parent is an eviction victim, where a pinned one would make the
     // pool overshoot and force a write-back.
-    const uint32_t child = ref->node->children[idx];
+    const uint32_t child = page.child(idx);
     ref->pin.Release();
-    ref = FetchNode(child, fill_cache);
+    ref = FetchPage(child, fill_cache);
   }
   return ref;
 }
@@ -434,129 +346,145 @@ Status BTreeStore::GetLocked(std::string_view key, std::string* value, bool fill
   if (!leaf.ok()) {
     return leaf.status();
   }
-  const auto& keys = leaf->node->keys;
-  auto it = std::lower_bound(keys.begin(), keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  if (it == keys.end() || std::string_view(*it) != key) {
+  const BTreePage page = View(leaf->page);
+  const size_t i = page.Find(key);
+  if (i == page.count()) {
     return Status::NotFound();
   }
-  size_t idx = static_cast<size_t>(it - keys.begin());
-  return LoadValue(leaf->node->values[idx], value);
+  return LoadValue(page, i, value);
 }
 
 Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
-  auto leaf = DescendToLeaf(key, &path_);
-  if (!leaf.ok()) {
-    return leaf.status();
-  }
-  Node& node = *leaf->node;
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
-  auto new_ref = StoreValue(value);
-  if (!new_ref.ok()) {
-    return new_ref.status();
-  }
-  if (it != node.keys.end() && std::string_view(*it) == key) {
-    ReleaseValue(node.values[idx]);
-    node.bytes -= node.EntryBytes(idx);
-    node.values[idx] = std::move(*new_ref);
+  // The record after the key: a tag and the value, or the overflow tag and
+  // a chain reference.
+  char head[10];
+  size_t head_size = 2;
+  std::string_view body;
+  if (value.size() <= MaxInlineValue(opts_.page_size)) {
+    const auto tag = static_cast<uint16_t>(value.size());
+    std::memcpy(head, &tag, 2);
+    body = value;
   } else {
-    node.keys.insert(node.keys.begin() + static_cast<long>(idx), std::string(key));
-    node.values.insert(node.values.begin() + static_cast<long>(idx), std::move(*new_ref));
+    auto chain = StoreOverflow(value);
+    if (!chain.ok()) {
+      return chain.status();
+    }
+    const uint16_t tag = kOverflowTag;
+    const uint32_t length = static_cast<uint32_t>(value.size());
+    std::memcpy(head, &tag, 2);
+    std::memcpy(head + 2, &*chain, 4);
+    std::memcpy(head + 6, &length, 4);
+    head_size = 10;
   }
-  node.bytes += node.EntryBytes(idx);
-  MarkDirty(&*leaf);
-  if (node.bytes > opts_.page_size) {
-    return SplitAndInsert(leaf->page_id, &node);
+  const PageEntry entry{key, {head, head_size}, body};
+  // A leaf split that cannot put the entry beside either half splits at its
+  // slot, which leaves room at the end of the left half: the second
+  // descent places it.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto leaf = DescendToLeaf(key, &path_);
+    if (!leaf.ok()) {
+      return leaf.status();
+    }
+    MarkDirty(&*leaf);
+    BTreePage page = View(leaf->page);
+    const size_t i = page.LowerBound(key);
+    if (i < page.count() && page.key(i) == key) {
+      ReleaseValue(page, i);
+      if (page.Overwrite(i, entry.head, entry.body)) {
+        return Status::Ok();
+      }
+      page.Erase(i);
+    }
+    auto placed = InsertLeafEntry(page, i, entry);
+    if (!placed.ok() || *placed) {
+      return placed.status();
+    }
   }
-  return Status::Ok();
+  return Status::Corruption(TreePath(dir_) + ": no leaf takes a key of " +
+                            std::to_string(key.size()) + " bytes");
 }
 
-Status BTreeStore::SplitAndInsert(uint32_t page_id, Node* node) {
-  while (node->bytes > opts_.page_size) {
-    // Split `node` into itself (left) and a new right sibling at the size
-    // midpoint; `separator` goes up to the parent.
-    auto right = std::make_shared<Node>();
-    right->leaf = node->leaf;
-    const size_t total = node->bytes;
-    const size_t n = node->keys.size();
-    size_t acc = 0;
-    size_t split_idx = 0;
-    std::string separator;
-    if (node->leaf) {
-      for (size_t i = 0; i < n; ++i) {
-        acc += node->EntryBytes(i);
-        if (acc >= total / 2) {
-          split_idx = i + 1;
-          break;
-        }
-      }
-      split_idx = std::clamp<size_t>(split_idx, 1, n - 1);
-      right->keys.assign(node->keys.begin() + static_cast<long>(split_idx), node->keys.end());
-      right->values.assign(node->values.begin() + static_cast<long>(split_idx),
-                           node->values.end());
-      node->keys.resize(split_idx);
-      node->values.resize(split_idx);
-      separator = right->keys.front();
-    } else {
-      // Internal node: promote the key at the midpoint.
-      split_idx = n / 2;
-      for (size_t i = 0; i < n; ++i) {
-        acc += node->EntryBytes(i);
-        if (acc >= total / 2) {
-          split_idx = i;
-          break;
-        }
-      }
-      split_idx = std::clamp<size_t>(split_idx, 1, n > 2 ? n - 2 : 1);
-      separator = std::move(node->keys[split_idx]);
-      right->keys.assign(node->keys.begin() + static_cast<long>(split_idx) + 1,
-                         node->keys.end());
-      right->children.assign(node->children.begin() + static_cast<long>(split_idx) + 1,
-                             node->children.end());
-      node->keys.resize(split_idx);
-      node->children.resize(split_idx + 1);
-    }
-    node->bytes = node->SerializedSize();
-    right->bytes = right->SerializedSize();
-    const uint32_t right_id = AllocPage();
-    if (node->leaf) {
-      right->next_leaf = node->next_leaf;
-      node->next_leaf = right_id;
-    }
-    InstallNode(right_id, std::move(right));
+StatusOr<bool> BTreeStore::InsertLeafEntry(BTreePage page, size_t i, const PageEntry& e) {
+  if (page.Insert(i, e, &scratch_)) {
+    return true;
+  }
+  // k == 0: no split puts `e` beside either half; split at its slot instead.
+  const size_t k = page.SplitPoint(i, kSlotSize + e.record_size(), /*promote=*/false);
+  const size_t j = k == 0 ? i : (k <= i ? k : k - 1);
+  const uint32_t right_id = AllocPage();
+  BTreePage right = View(InstallPage(right_id));
+  page.MoveTail(j, /*promote=*/false, &right, nullptr, &scratch_);
+  right.set_link(page.link());
+  page.set_link(right_id);
+  if (k != 0 && !(k <= i ? right.Insert(i - j, e, &scratch_) : page.Insert(i, e, &scratch_))) {
+    return Status::Corruption(TreePath(dir_) + ": leaf split left no room");
+  }
+  if (right.count() == 0) {
+    return Status::Corruption(TreePath(dir_) + ": leaf split left an empty page");
+  }
+  GADGET_RETURN_IF_ERROR(InsertIntoParent(std::string(right.key(0)), right_id));
+  return k != 0;
+}
 
+Status BTreeStore::InsertIntoParent(std::string separator, uint32_t right_id) {
+  std::string promoted;
+  char child[4];
+  for (;;) {
+    std::memcpy(child, &right_id, 4);
+    const PageEntry e{separator, {child, 4}, {}};
     if (path_.empty()) {
       // The root split: grow a new root above the two halves.
-      auto new_root = std::make_shared<Node>();
-      new_root->leaf = false;
-      new_root->keys.push_back(std::move(separator));
-      new_root->children = {page_id, right_id};
-      new_root->bytes = new_root->SerializedSize();
-      const uint32_t new_root_id = AllocPage();
-      InstallNode(new_root_id, std::move(new_root));
-      root_ = new_root_id;
+      const uint32_t root_id = AllocPage();
+      BTreePage root = View(InstallPage(root_id));
+      root.Init(kInternalPage, root_);
+      if (!root.Insert(0, e, &scratch_)) {
+        return Status::Corruption(TreePath(dir_) + ": separator does not fit a new root");
+      }
+      root_ = root_id;
       ++height_;
       return PersistMeta();
     }
     const PathEntry parent = path_.back();
     path_.pop_back();
-    auto parent_ref = FetchNode(parent.page_id);
+    auto parent_ref = FetchPage(parent.page_id);
     if (!parent_ref.ok()) {
       return parent_ref.status();
     }
-    Node& pn = *parent_ref->node;
-    pn.keys.insert(pn.keys.begin() + static_cast<long>(parent.child_index),
-                   std::move(separator));
-    pn.children.insert(pn.children.begin() + static_cast<long>(parent.child_index) + 1,
-                       right_id);
-    pn.bytes += pn.EntryBytes(parent.child_index);
     MarkDirty(&*parent_ref);
-    page_id = parent.page_id;  // the parent may now overflow in turn
-    node = &pn;
+    BTreePage page = View(parent_ref->page);
+    const size_t i = parent.child_index;
+    // Only a free list that hands out a live page (a corrupt file) can have
+    // rewritten the parent since the descent.
+    if (page.leaf() || i > page.count()) {
+      return Status::Corruption(TreePath(dir_) + ": parent page " +
+                                std::to_string(parent.page_id) + " changed under a split");
+    }
+    if (page.Insert(i, e, &scratch_)) {
+      return Status::Ok();
+    }
+    // The parent splits in turn around a promoted key: the new separator
+    // itself (k == i) or one of the parent's.
+    const size_t k = page.SplitPoint(i, kSlotSize + e.record_size(), /*promote=*/true);
+    if (k == 0) {
+      return Status::Corruption(TreePath(dir_) + ": internal page " +
+                                std::to_string(parent.page_id) + " cannot split");
+    }
+    const uint32_t new_right = AllocPage();
+    BTreePage right = View(InstallPage(new_right));
+    bool placed = true;
+    if (k == i) {
+      page.MoveTail(i, /*promote=*/false, &right, nullptr, &scratch_);
+      right.set_link(right_id);
+    } else {
+      page.MoveTail(k < i ? k : k - 1, /*promote=*/true, &right, &promoted, &scratch_);
+      placed = k < i ? right.Insert(i - k - 1, e, &scratch_) : page.Insert(i, e, &scratch_);
+      separator.swap(promoted);
+    }
+    if (!placed || page.count() == 0 || right.count() == 0) {
+      return Status::Corruption(TreePath(dir_) + ": internal split left a page without room");
+    }
+    right_id = new_right;
   }
-  return Status::Ok();
 }
 
 Status BTreeStore::DeleteLocked(std::string_view key) {
@@ -564,17 +492,13 @@ Status BTreeStore::DeleteLocked(std::string_view key) {
   if (!leaf.ok()) {
     return leaf.status();
   }
-  Node& node = *leaf->node;
-  auto it = std::lower_bound(node.keys.begin(), node.keys.end(), key,
-                             [](const std::string& k, std::string_view q) { return k < q; });
-  if (it == node.keys.end() || std::string_view(*it) != key) {
+  BTreePage page = View(leaf->page);
+  const size_t i = page.Find(key);
+  if (i == page.count()) {
     return Status::Ok();  // blind delete of a missing key is a no-op
   }
-  size_t idx = static_cast<size_t>(it - node.keys.begin());
-  ReleaseValue(node.values[idx]);
-  node.bytes -= node.EntryBytes(idx);
-  node.keys.erase(it);
-  node.values.erase(node.values.begin() + static_cast<long>(idx));
+  ReleaseValue(page, i);
+  page.Erase(i);
   MarkDirty(&*leaf);
   // No rebalancing: an emptied leaf stays linked and later inserts in its
   // key range refill it; its page never returns to the free list (see the
@@ -599,6 +523,7 @@ Status BTreeStore::Put(std::string_view key, std::string_view value) {
   if (closed_) {
     return Status::Internal("store is closed");
   }
+  GADGET_RETURN_IF_ERROR(CheckKeySize(key));
   ++stats_.puts;
   stats_.bytes_written += key.size() + value.size();
   GADGET_RETURN_IF_ERROR(PutLocked(key, value));
@@ -637,6 +562,7 @@ Status BTreeStore::ReadModifyWrite(std::string_view key, std::string_view operan
   if (closed_) {
     return Status::Internal("store is closed");
   }
+  GADGET_RETURN_IF_ERROR(CheckKeySize(key));
   ++stats_.rmws;
   stats_.bytes_written += key.size() + operand.size();
   GADGET_RETURN_IF_ERROR(RmwLocked(key, operand));
@@ -647,6 +573,13 @@ Status BTreeStore::Write(const WriteBatch& batch) {
   MutexLock lock(&mu_);
   if (closed_) {
     return Status::Internal("store is closed");
+  }
+  // Refuse the whole batch before applying any of it. A delete needs no
+  // check: a key too long to store is never there.
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (batch.entry(i).op != WriteBatch::Op::kDelete) {
+      GADGET_RETURN_IF_ERROR(CheckKeySize(batch.entry(i).key));
+    }
   }
   for (size_t i = 0; i < batch.size(); ++i) {
     const WriteBatch::Entry& e = batch.entry(i);
@@ -791,8 +724,9 @@ uint64_t BTreeStore::num_pages() const {
 
 Status BTreeStore::CheckInvariants() {
   MutexLock lock(&mu_);
-  // Iterative BFS verifying (a) key ordering within nodes, (b) separator
-  // bounds, (c) uniform leaf depth, (d) each node's cached size.
+  // Depth-first walk verifying (a) each page's layout, (b) separator bounds,
+  // (c) leaves exactly at depth height_, (d) no page reached twice, which
+  // also ends the walk on a child cycle.
   struct Item {
     uint32_t page_id;
     uint32_t depth;
@@ -800,57 +734,49 @@ Status BTreeStore::CheckInvariants() {
     std::string high;  // empty = unbounded
     bool has_high;
   };
-  std::vector<Item> queue{{root_, 0, "", "", false}};
-  int leaf_depth = -1;
-  while (!queue.empty()) {
-    Item item = std::move(queue.back());
-    queue.pop_back();
-    auto node = FetchNode(item.page_id);
-    if (!node.ok()) {
-      return node.status();
+  std::vector<Item> stack{{root_, 1, "", "", false}};
+  std::unordered_set<uint32_t> seen;
+  while (!stack.empty()) {
+    Item item = std::move(stack.back());
+    stack.pop_back();
+    const std::string where = TreePath(dir_) + ": page " + std::to_string(item.page_id);
+    if (!seen.insert(item.page_id).second) {
+      return Status::Corruption(where + " reached twice");
     }
-    const Node& n = *node->node;
-    if (n.bytes != n.SerializedSize() || n.bytes > opts_.page_size) {
-      return Status::Corruption("bad cached size in page " + std::to_string(item.page_id));
+    auto ref = FetchPage(item.page_id);
+    if (!ref.ok()) {
+      return ref.status();
     }
-    for (size_t i = 1; i < n.keys.size(); ++i) {
-      if (n.keys[i - 1] >= n.keys[i]) {
-        return Status::Corruption("keys out of order in page " + std::to_string(item.page_id));
-      }
+    const Status layout = CheckBTreePageLayout({ref->page, opts_.page_size});
+    if (!layout.ok()) {
+      return Status::Corruption(where + ": " + layout.message());
     }
-    for (const std::string& k : n.keys) {
-      if (k < item.low || (item.has_high && k >= item.high)) {
-        return Status::Corruption("key outside separator bounds in page " +
-                                  std::to_string(item.page_id));
-      }
+    const BTreePage page = View(ref->page);
+    if (page.leaf() != (item.depth == height_)) {
+      return Status::Corruption(where + " at depth " + std::to_string(item.depth) +
+                                " of a tree of height " + std::to_string(height_));
     }
-    if (n.leaf) {
-      if (leaf_depth == -1) {
-        leaf_depth = static_cast<int>(item.depth);
-      } else if (leaf_depth != static_cast<int>(item.depth)) {
-        return Status::Corruption("non-uniform leaf depth");
+    const size_t n = page.count();
+    // Keys are in order (the layout check), so the extremes bound them all.
+    if (n > 0 && (page.key(0) < item.low || (item.has_high && page.key(n - 1) >= item.high))) {
+      return Status::Corruption(where + ": key outside separator bounds");
+    }
+    if (page.leaf()) {
+      continue;
+    }
+    for (size_t c = 0; c <= n; ++c) {
+      Item child;
+      child.page_id = page.child(c);
+      child.depth = item.depth + 1;
+      child.low = c == 0 ? item.low : std::string(page.key(c - 1));
+      if (c < n) {
+        child.high = std::string(page.key(c));
+        child.has_high = true;
+      } else {
+        child.high = item.high;
+        child.has_high = item.has_high;
       }
-      if (n.keys.size() != n.values.size()) {
-        return Status::Corruption("leaf keys/values mismatch");
-      }
-    } else {
-      if (n.children.size() != n.keys.size() + 1) {
-        return Status::Corruption("internal children count mismatch");
-      }
-      for (size_t i = 0; i < n.children.size(); ++i) {
-        Item child;
-        child.page_id = n.children[i];
-        child.depth = item.depth + 1;
-        child.low = i == 0 ? item.low : n.keys[i - 1];
-        if (i < n.keys.size()) {
-          child.high = n.keys[i];
-          child.has_high = true;
-        } else {
-          child.high = item.high;
-          child.has_high = item.has_high;
-        }
-        queue.push_back(std::move(child));
-      }
+      stack.push_back(std::move(child));
     }
   }
   return Status::Ok();

@@ -1,17 +1,24 @@
 // Persistent B+tree key-value store (the project's BerkeleyDB stand-in).
 //
-// Fixed-size pages in a single file, parsed nodes cached in the SHARED
-// BufferPool (as decoded objects, charged one page each), in-place value
-// updates when the new value fits, leaf splits on overflow, and
-// overflow-page chains for values larger than a quarter page (holistic
-// window buckets grow far beyond a page). Deletes remove entries without
-// rebalancing: an emptied leaf stays linked and later inserts in its key
-// range refill it. Node pages never return to the free list; only overflow
-// pages do. This matches BerkeleyDB's lazy reclamation behaviour closely
-// enough for benchmarking.
+// Fixed-size slotted pages in a single file (page.h): a node's buffer-pool
+// frame holds the page's own bytes, which searches read and edits write in
+// place, so a pool miss is one pread plus CheckBTreePage and a write-back is
+// one pwrite of the frame. Values are overwritten in place when the new one
+// fits the old record; a full page compacts once, then splits; values larger
+// than a quarter page live in overflow-page chains (holistic window buckets
+// grow far beyond a page). Deletes remove entries without rebalancing: an
+// emptied leaf stays linked and later inserts in its key range refill it.
+// Node pages never return to the free list; only overflow pages do. This
+// matches BerkeleyDB's lazy reclamation behaviour closely enough for
+// benchmarking.
+//
+// Keys are at most MaxKeyBytes(page_size) bytes (page.h: 2,026 at the default
+// 4 KiB pages, the largest for which every split leaves its pages within a
+// page); Put, Write and ReadModifyWrite refuse a longer key with
+// InvalidArgument and leave the store unchanged.
 //
 // Write-back model: the pool is a write-back cache whose budget is the
-// store's only memory bound, as BerkeleyDB's own cache is. A mutated node
+// store's only memory bound, as BerkeleyDB's own cache is. A mutated page
 // keeps the pin on its pool frame until it is written back, so it is
 // charged to the pool and cannot be evicted: the pool always holds the
 // page's current bytes. Dirty pages are written back, and unpinned, on
@@ -33,6 +40,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
+#include "src/stores/btree/page.h"
 #include "src/stores/bufferpool/buffer_pool.h"
 #include "src/stores/kvstore.h"
 
@@ -42,6 +50,8 @@ namespace gadget {
 // Checkpoint() or Close(), so OpenStore refuses StoreOptions::sync_writes
 // for it.
 struct BTreeOptions {
+  // kMinPageSize to kMaxPageSize (page.h); Open refuses other sizes, and a
+  // page file opened with a size other than its own.
   uint32_t page_size = 4096;
   // Page residency, dirty pages included, is bounded by the BufferPool
   // passed to Open (sized by StoreOptions::buffer_pool), not per-store.
@@ -87,62 +97,50 @@ class BTreeStore : public KVStore {
   // Introspection for tests.
   uint32_t height() const;
   uint64_t num_pages() const;
-  // Walks the whole tree checking ordering + structure invariants.
+  // Walks the whole tree checking each page's layout (CheckBTreePageLayout),
+  // separator bounds, uniform leaf depth and that no page is reached twice.
   Status CheckInvariants();
 
  private:
-  // In-memory (parsed) page representation.
-  struct ValueRef {
-    std::string inline_data;     // used when overflow_head == 0
-    uint32_t overflow_head = 0;  // first overflow page, 0 = inline
-    uint32_t total_len = 0;      // full value length when overflowed
-  };
-  struct Node {
-    bool leaf = true;
-    std::vector<std::string> keys;
-    std::vector<ValueRef> values;     // leaf: parallel to keys
-    std::vector<uint32_t> children;   // internal: keys.size() + 1 entries
-    uint32_t next_leaf = 0;
-    // Serialized size, kept current by every insert, replace, erase and
-    // split so the overflow check never rescans the node.
-    size_t bytes = 0;
-    // Serialized size of entry i: keys[i] with its value (leaf) or its right
-    // child (internal).
-    size_t EntryBytes(size_t i) const;
-    // Recomputes the serialized size from scratch.
-    size_t SerializedSize() const;
-  };
-  // A node fetched for one operation. `pin` holds its pool frame, which
-  // keeps `node` alive and resident; a fill_cache=false miss is never
-  // admitted, so `uncached` owns that node instead and `pin` is empty.
-  struct NodeRef {
+  // A page fetched for one operation. `pin` holds its pool frame, which
+  // keeps `page` (the frame's bytes) alive and resident; a fill_cache=false
+  // miss is never admitted, so `uncached` owns those bytes instead and `pin`
+  // is empty.
+  struct PageRef {
     uint32_t page_id = 0;
-    Node* node = nullptr;
+    char* page = nullptr;
     PinnedBlock pin;
-    std::unique_ptr<Node> uncached;
+    std::shared_ptr<char[]> uncached;
+  };
+  // An internal page a writer's descent passed, and the child it took.
+  struct PathEntry {
+    uint32_t page_id;
+    size_t child_index;
   };
 
   BTreeStore(std::string dir, const BTreeOptions& opts, std::shared_ptr<BufferPool> pool);
 
   Status Recover();
+  BTreePage View(char* page) const { return BTreePage(page, opts_.page_size); }
+  // InvalidArgument for a key longer than the pages take.
+  Status CheckKeySize(std::string_view key) const;
 
   // --- page cache (mu_ held) ---
-  // The pool, then disk. A dirty page is pinned, so the pool always has it.
-  // `fill_cache` = false skips pool admission on a miss.
-  StatusOr<NodeRef> FetchNode(uint32_t page_id, bool fill_cache = true) REQUIRES(mu_);
-  // Registers a mutated node in dirty_, which keeps the node's pin
+  // The pool, then disk: a miss is one pread plus CheckBTreePage. A dirty
+  // page is pinned, so the pool always has it. `fill_cache` = false skips
+  // pool admission on a miss.
+  StatusOr<PageRef> FetchPage(uint32_t page_id, bool fill_cache = true) REQUIRES(mu_);
+  // Registers a page about to be mutated in dirty_, which keeps its pin
   // (idempotent: a page already dirty keeps its first pin).
-  void MarkDirty(NodeRef* ref) REQUIRES(mu_);
-  // Admits a freshly created page to the pool, pinned and dirty (splits,
-  // new roots).
-  void InstallNode(uint32_t page_id, std::shared_ptr<Node> node) REQUIRES(mu_);
-  // Writes every dirty node to the page file and unpins it (no sync).
+  void MarkDirty(PageRef* ref) REQUIRES(mu_);
+  // Admits a new page to the pool, pinned and dirty (splits, new roots), and
+  // returns its bytes for the caller to format.
+  char* InstallPage(uint32_t page_id) REQUIRES(mu_);
+  // Writes every dirty page to the page file and unpins it (no sync).
   Status WriteBackDirtyLocked() REQUIRES(mu_);
   // Full write-back once the pool has overshot its budget since this store
   // last looked: the dirty set's pins are what keep the pool over budget.
   Status MaybeWriteBackLocked() REQUIRES(mu_);
-  Status WriteNode(uint32_t page_id, const Node& node) REQUIRES(mu_);
-  StatusOr<Node> ReadNode(uint32_t page_id) REQUIRES(mu_);
   uint32_t AllocPage() REQUIRES(mu_);
   void FreePage(uint32_t page_id) REQUIRES(mu_);
   Status PersistMeta() REQUIRES(mu_);
@@ -157,35 +155,39 @@ class BTreeStore : public KVStore {
   Status DeleteLocked(std::string_view key) REQUIRES(mu_);
   Status RmwLocked(std::string_view key, std::string_view operand) REQUIRES(mu_);
   // Descends to the leaf for `key` and returns it. Writers pass `path`, which
-  // receives the internal nodes passed (page ids + child indices) for split
-  // propagation; readers pass nullptr.
-  struct PathEntry {
-    uint32_t page_id;
-    size_t child_index;
-  };
-  StatusOr<NodeRef> DescendToLeaf(std::string_view key, std::vector<PathEntry>* path,
+  // receives the internal pages passed (page ids + child indices) for split
+  // propagation; readers pass nullptr. The meta page's height bounds the
+  // walk: a page that is a leaf above it, or internal at it, is corruption.
+  StatusOr<PageRef> DescendToLeaf(std::string_view key, std::vector<PathEntry>* path,
                                   bool fill_cache = true) REQUIRES(mu_);
-  // Splits `node` (dirty, so its pin in dirty_ keeps it alive) while it
-  // overflows its page, carrying separators up the path DescendToLeaf left
-  // in path_.
-  Status SplitAndInsert(uint32_t page_id, Node* node) REQUIRES(mu_);
+  // Inserts `e` at slot `i` of the dirty leaf `page`, which path_ leads to,
+  // splitting it when it does not fit. False when no split could put `e`
+  // beside either half: the leaf was split at slot `i`, and the caller
+  // descends again to place `e` at the end of the left half.
+  StatusOr<bool> InsertLeafEntry(BTreePage page, size_t i, const PageEntry& e) REQUIRES(mu_);
+  // Adds `separator` and the new page `right_id` beside the page just split
+  // to its parent, the last entry of path_, splitting ancestors in turn and
+  // growing a new root when the root split.
+  Status InsertIntoParent(std::string separator, uint32_t right_id) REQUIRES(mu_);
 
   // --- overflow values (mu_ held) ---
-  StatusOr<ValueRef> StoreValue(std::string_view value) REQUIRES(mu_);
-  Status LoadValue(const ValueRef& ref, std::string* out) REQUIRES(mu_);
-  void ReleaseValue(const ValueRef& ref) REQUIRES(mu_);
+  // Writes `value` to a new overflow chain and returns its head.
+  StatusOr<uint32_t> StoreOverflow(std::string_view value) REQUIRES(mu_);
+  // Leaf slot i's value, inline or from its chain.
+  Status LoadValue(const BTreePage& leaf, size_t i, std::string* out) REQUIRES(mu_);
+  // Returns slot i's overflow chain, if it has one, to the free list.
+  void ReleaseValue(const BTreePage& leaf, size_t i) REQUIRES(mu_);
+  // The most pages a chain holding `length` bytes may have.
+  uint64_t ChainPages(uint32_t length) const { return length / (opts_.page_size - 8) + 1; }
 
-  // --- raw page I/O (mu_ held: they use fd_) ---
-  Status ReadPageRaw(uint32_t page_id, std::string* out) REQUIRES(mu_);
-  Status WritePageRaw(uint32_t page_id, std::string_view data) REQUIRES(mu_);
-
-  std::string SerializeNode(const Node& node) const;
-  StatusOr<Node> DeserializeNode(std::string_view data) const;
+  // --- raw page I/O of page_size bytes (mu_ held: they use fd_) ---
+  Status ReadPageRaw(uint32_t page_id, char* out) REQUIRES(mu_);
+  Status WritePageRaw(uint32_t page_id, const char* data) REQUIRES(mu_);
 
   const std::string dir_;
   const BTreeOptions opts_;
-  // Shared (or private when Open got nullptr) page residency: parsed nodes
-  // are cached as decoded objects, one page of charge each. Never null.
+  // Shared (or private when Open got nullptr) page residency: each frame
+  // holds one page's bytes and is charged one page. Never null.
   const std::shared_ptr<BufferPool> pool_;
   uint64_t pool_file_id_ = 0;  // this store's namespace within the pool
 
@@ -197,12 +199,14 @@ class BTreeStore : public KVStore {
   uint32_t free_head_ GUARDED_BY(mu_) = 0;
   uint32_t height_ GUARDED_BY(mu_) = 1;
 
-  // Mutated nodes not yet written back, each holding its frame's pin.
+  // Mutated pages not yet written back, each holding its frame's pin.
   std::unordered_map<uint32_t, PinnedBlock> dirty_ GUARDED_BY(mu_);
   // pool_->overshoots() when this store last checked it.
   uint64_t overshoots_seen_ GUARDED_BY(mu_) = 0;
   // The current writer's descent, reused across operations.
   std::vector<PathEntry> path_ GUARDED_BY(mu_);
+  // A page-sized copy that compactions and splits rebuild pages from.
+  std::string scratch_ GUARDED_BY(mu_);
 
   StoreStats stats_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;

@@ -3,8 +3,9 @@
 // Frames are keyed by (file_id, offset) where file ids come from the pool's
 // own NewFileId() counter, so any number of stores — LSM tables and btree
 // pages alike — can share one pool without colliding. A frame carries either
-// raw immutable bytes (SSTable blocks), a type-erased decoded object (btree
-// nodes), or both; `charge` is what it counts against capacity.
+// raw immutable bytes (SSTable blocks), a type-erased object its owner may
+// mutate (a btree page's own bytes, edited in place), or both; `charge` is
+// what it counts against capacity.
 //
 // Pin lifetime rules:
 //   - Lookup/Insert return a PinnedBlock; the frame cannot be evicted while
@@ -52,7 +53,7 @@ struct Frame {
   uint64_t file = 0;
   uint64_t offset = 0;
   std::shared_ptr<const std::string> data;  // raw bytes (may be null)
-  std::shared_ptr<void> object;             // decoded form (may be null)
+  std::shared_ptr<void> object;             // owner-typed form (may be null)
   size_t charge = 0;
   uint32_t pins = 0;
   bool referenced = false;  // clock second-chance bit
@@ -79,7 +80,7 @@ class PinnedBlock {
   std::shared_ptr<const std::string> data_ptr() const { return frame_->data; }
   bool has_data() const { return frame_ != nullptr && frame_->data != nullptr; }
 
-  // Decoded object slot (callers cast back to the concrete type).
+  // Object slot (callers cast back to the concrete type).
   const std::shared_ptr<void>& object() const { return frame_->object; }
 
   // Drops the pin early (idempotent).

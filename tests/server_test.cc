@@ -414,6 +414,43 @@ TEST(ServerTest, ClosedShardAnswersReadsWithErrors) {
   }
 }
 
+// A key longer than the B+tree's pages take (but within the wire's 64 KiB
+// key limit) is refused by the store: the shard answers that PUT with ERROR
+// and serves the connection's next frames. (Pipelined behind it, in the same
+// write batch, they would share its ERROR: the store refuses a batch whole.)
+TEST(ServerTest, BTreeShardRefusesOversizedKeyAndServesOn) {
+  ScopedTempDir tmp("gadget-server-test");
+  ServerOptions opts;
+  opts.shards = 1;
+  opts.io_threads = 1;
+  opts.store.engine = "btree";
+  opts.store.dir = tmp.path() + "/db";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto fd = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::FramedConn conn(*fd);
+  std::string out;
+  AppendPutRequest(&out, 1, std::string(5000, 'x'), "v");
+  ASSERT_TRUE(conn.Send(out).ok());
+  Response rsp;
+  ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+  EXPECT_EQ(rsp.id, 1u);
+  EXPECT_EQ(rsp.type, MsgType::kError);
+  out.clear();
+  AppendPutRequest(&out, 2, "k", "v");
+  AppendGetRequest(&out, 3, "k");
+  ASSERT_TRUE(conn.Send(out).ok());
+  ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+  EXPECT_EQ(rsp.id, 2u);
+  EXPECT_EQ(rsp.type, MsgType::kOk);
+  ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+  EXPECT_EQ(rsp.id, 3u);
+  ASSERT_EQ(rsp.type, MsgType::kValue);
+  EXPECT_EQ(rsp.value, "v");
+  (*server)->Stop();
+}
+
 // A stand-in server for one connection, for read errors no real engine
 // produces on demand: PING, STATS and writes succeed; in a MULTI_GET, key
 // "hit" is found, "miss" is not, and every other key fails with an IoError.

@@ -92,6 +92,56 @@ TEST(KeyEdgeTest, StateKeyEncodingAgreesWithStoreOrdering) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
+TEST(KeyEdgeTest, BTreeRefusesKeysLongerThanItsPagesTake) {
+  // Every write path refuses a key past MaxKeyBytes with InvalidArgument and
+  // leaves the store as it was (a batch holding one applies none of it); a
+  // key at the bound round-trips with a maximal inline value.
+  ScopedTempDir dir;
+  const std::string path = dir.path() + "/db";
+  const size_t max_key = MaxKeyBytes(BTreeOptions().page_size);
+  EXPECT_GE(max_key, 1024u);
+  const std::string longest(max_key, 'k');
+  const std::string too_long(5000, 'x');
+  const std::string big_inline(MaxInlineValue(BTreeOptions().page_size), 'v');
+  {
+    auto store = OpenStore({.engine = "btree", .dir = path});
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("a", "1").ok());
+    EXPECT_TRUE((*store)->Put(too_long, "v").IsInvalidArgument());
+    EXPECT_TRUE((*store)->Put(std::string(max_key + 1, 'k'), "v").IsInvalidArgument());
+    EXPECT_TRUE((*store)->ReadModifyWrite(too_long, "+1").IsInvalidArgument());
+    WriteBatch batch;
+    batch.Put("b", "2");
+    batch.Merge(too_long, "+1");
+    EXPECT_TRUE((*store)->Write(batch).IsInvalidArgument());
+    EXPECT_EQ((*store)->stats().puts, 1u);  // refused calls count nothing
+    std::string value;
+    EXPECT_TRUE((*store)->Get("b", &value).IsNotFound());
+    EXPECT_TRUE((*store)->Get(too_long, &value).IsNotFound());
+    ASSERT_TRUE((*store)->Delete(too_long).ok());  // like any missing key
+    for (int i = 0; i < 8; ++i) {
+      std::string key = longest;
+      key.back() = static_cast<char>('0' + i);
+      ASSERT_TRUE((*store)->Put(key, big_inline).ok()) << i;
+    }
+    ASSERT_TRUE((*store)->Put(longest, big_inline).ok());
+    ASSERT_TRUE((*store)->Get("a", &value).ok());
+    EXPECT_EQ(value, "1");
+    ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  auto store = OpenStore({.engine = "btree", .dir = path});
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+  std::string value;
+  ASSERT_TRUE((*store)->Get("a", &value).ok());
+  EXPECT_EQ(value, "1");
+  ASSERT_TRUE((*store)->Get(longest, &value).ok());
+  EXPECT_EQ(value, big_inline);
+  EXPECT_TRUE((*store)->Get(too_long, &value).IsNotFound());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
 // ----------------------------------------------------------- cache pressure
 
 TEST(CachePressureTest, LsmReadsWorkWithTinyCache) {
@@ -213,9 +263,9 @@ TEST(CachePressureTest, SharedPoolBudgetHoldsUnderBTreeWrites) {
   // Four B+trees on one 16-page pool, written in turn. Dirty pages are
   // pinned frames inside that budget, so after any call the pool may run
   // over it only by what calls pinned since the last overshoot: each store
-  // writes back at the end of its first call after one. A Put pins at most
-  // its descent (which a split cascade dirties), one new right sibling per
-  // level and a new root: 2h + 1 pages at height h.
+  // writes back at the end of its first call after one. A Put of entries
+  // this small pins at most its descent (which a split cascade dirties), one
+  // new right sibling per level and a new root: 2h + 1 pages at height h.
   constexpr uint32_t kPage = 512;
   constexpr uint64_t kCapacity = 16 * kPage;
   constexpr int kStores = 4;

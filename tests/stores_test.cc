@@ -3,6 +3,7 @@
 // randomized differential tests against the in-memory reference store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <thread>
 
@@ -479,10 +480,10 @@ TEST(BTreeStoreTest, TreeThatFitsThePoolWritesNothingBeforeFlush) {
     std::snprintf(key, sizeof(key), "k%08d", i);
     return std::string(key);
   };
-  // A leaf entry is at most 2 + 9 + 1 + 4 + 6 = 22 bytes (klen, key, flag,
-  // vlen, "v29999"), so a 512-byte leaf holds at most 22 keys and the tree
-  // has more than 1,024 leaf pages.
-  static_assert(30000 / 22 > 1024);
+  // A leaf entry takes at least 12 + 9 + 2 + 2 = 25 bytes (slot, key, tag,
+  // "v0"), so a 512-byte leaf (12-byte header) holds at most 20 keys and the
+  // tree has more than 1,024 leaf pages.
+  static_assert(30000 / ((512 - 12) / 25) > 1024);
   {
     auto pool = std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = 4 << 20});
     auto store = BTreeStore::Open(dir.path(), opts, pool);
@@ -647,6 +648,246 @@ INSTANTIATE_TEST_SUITE_P(PoolSizes, BTreePoolOracleTest, ::testing::Values(0, 8,
                            return spec.param == 0 ? std::string("fits")
                                                   : std::to_string(spec.param) + "pages";
                          });
+
+// The slotted page's edges against a std::map, at the default 4 KiB page and
+// the same three pool sizes: binary keys from 0 bytes to the key bound (NUL,
+// 0xff, prefixes shared far past the slot's 8-byte prefix), values on both
+// sides of the quarter-page inline limit, overwrites that grow and shrink a
+// record (so pages compact), RMWs that push a value from inline to overflow,
+// and whole key groups deleted and refilled (so leaves empty and refill).
+// Each phase reopens the store on a fresh pool and ends with Flush.
+class BTreeLayoutOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BTreeLayoutOracleTest, EdgeKeysAndValuesMatchMapAcrossFlushAndReopen) {
+  constexpr uint32_t kPage = 4096;
+  const size_t max_key = MaxKeyBytes(kPage);
+  const uint64_t pool_pages = GetParam();  // 0: a pool that fits the tree
+  BTreeOptions opts;
+  opts.page_size = kPage;
+  BufferPoolOptions popts;
+  popts.capacity_bytes = pool_pages == 0 ? (8 << 20) : pool_pages * kPage;
+  popts.shards = 1;
+  Pcg32 rng(pool_pages + 11);
+  auto random_bytes = [&](size_t len) {
+    std::string out(len, '\0');
+    for (char& c : out) {
+      c = static_cast<char>(rng.NextBounded(256));
+    }
+    return out;
+  };
+  std::vector<std::string> keys = {
+      "", std::string(1, '\0'), std::string(2, '\0'), std::string(8, '\0'),
+      std::string(9, '\0'), std::string(1, '\xff'), std::string(8, '\xff'),
+      std::string(9, '\xff'), "abc", std::string("abc\0", 4), std::string("abc\0\0\0\0\0", 8),
+      "abcdefgh", "abcdefghi", std::string(max_key, 'k'), std::string(max_key - 1, 'k'),
+      std::string(max_key, '\xff'), std::string(max_key, '\0')};
+  // Long keys that differ only near their ends.
+  for (int i = 0; i < 6; ++i) {
+    std::string key(max_key - static_cast<size_t>(i), 'L');
+    key.back() = static_cast<char>('a' + i);
+    keys.push_back(key);
+  }
+  // A group sharing a 14-byte prefix, deleted and refilled as a whole below.
+  std::vector<std::string> group;
+  for (int i = 0; i < 60; ++i) {
+    group.push_back("shared-prefix-" + std::to_string(1000 + i));
+  }
+  keys.insert(keys.end(), group.begin(), group.end());
+  for (int i = 0; i < 150; ++i) {
+    keys.push_back(random_bytes(rng.NextBounded(40)));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  auto random_key = [&] { return keys[rng.NextBounded(static_cast<uint32_t>(keys.size()))]; };
+  auto random_value = [&] {
+    // Around the inline limit (1,024 bytes at 4 KiB pages) and past a page.
+    static constexpr size_t kEdges[] = {0, 1, 255, 1024, 1025, 4097};
+    return random_bytes(rng.NextBounded(3) == 0 ? kEdges[rng.NextBounded(6)]
+                                                : rng.NextBounded(64));
+  };
+
+  ScopedTempDir dir;
+  std::map<std::string, std::string> oracle;
+  auto check_all = [&](KVStore* store) {
+    for (const std::string& key : keys) {
+      std::string got;
+      const Status s = store->Get(key, &got);
+      auto it = oracle.find(key);
+      if (it == oracle.end()) {
+        ASSERT_TRUE(s.IsNotFound()) << key.size() << "-byte key: " << s.ToString();
+      } else {
+        ASSERT_TRUE(s.ok()) << key.size() << "-byte key: " << s.ToString();
+        ASSERT_EQ(got, it->second) << key.size() << "-byte key";
+      }
+    }
+  };
+  for (int phase = 0; phase < 3; ++phase) {
+    auto store_or = BTreeStore::Open(dir.path(), opts, std::make_shared<BufferPool>(popts));
+    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+    KVStore* store = store_or->get();
+    auto* btree = static_cast<BTreeStore*>(store);
+    check_all(store);
+    for (int i = 0; i < 1500; ++i) {
+      const uint32_t dice = rng.NextBounded(100);
+      if (dice < 35) {
+        const std::string key = random_key();
+        const std::string value = random_value();
+        ASSERT_TRUE(store->Put(key, value).ok()) << key.size() << "-byte key";
+        oracle[key] = value;
+      } else if (dice < 50) {
+        const std::string key = random_key();
+        const std::string operand = random_bytes(rng.NextBounded(200));
+        ASSERT_TRUE(store->ReadModifyWrite(key, operand).ok());
+        oracle[key] += operand;
+      } else if (dice < 65) {
+        WriteBatch batch;
+        const uint32_t count = 1 + rng.NextBounded(8);
+        for (uint32_t j = 0; j < count; ++j) {
+          const std::string key = random_key();
+          const uint32_t op = rng.NextBounded(3);
+          if (op == 0) {
+            const std::string value = random_value();
+            batch.Put(key, value);
+            oracle[key] = value;
+          } else if (op == 1) {
+            const std::string operand = random_bytes(rng.NextBounded(100));
+            batch.Merge(key, operand);
+            oracle[key] += operand;
+          } else {
+            batch.Delete(key);
+            oracle.erase(key);
+          }
+        }
+        ASSERT_TRUE(store->Write(batch).ok());
+      } else if (dice < 80) {
+        const std::string key = random_key();
+        ASSERT_TRUE(store->Delete(key).ok());
+        oracle.erase(key);
+      } else if (dice < 82) {
+        // Empty the group's leaves, then refill them.
+        for (const std::string& key : group) {
+          ASSERT_TRUE(store->Delete(key).ok());
+          oracle.erase(key);
+        }
+        for (const std::string& key : group) {
+          const std::string value = random_bytes(rng.NextBounded(300));
+          ASSERT_TRUE(store->Put(key, value).ok());
+          oracle[key] = value;
+        }
+      } else {
+        const std::string key = random_key();
+        std::string got;
+        const Status s = store->Get(key, &got);
+        auto it = oracle.find(key);
+        ASSERT_EQ(s.ok(), it != oracle.end()) << s.ToString();
+        if (it != oracle.end()) {
+          ASSERT_EQ(got, it->second);
+        }
+      }
+    }
+    ASSERT_TRUE(btree->CheckInvariants().ok()) << "phase " << phase;
+    ASSERT_TRUE(store->Flush().ok());
+    ASSERT_TRUE(btree->CheckInvariants().ok()) << "phase " << phase;
+    check_all(store);
+    EXPECT_GT(btree->height(), 2u);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto store = BTreeStore::Open(dir.path(), opts, std::make_shared<BufferPool>(popts));
+  ASSERT_TRUE(store.ok());
+  check_all(store->get());
+  ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(PoolSizes, BTreeLayoutOracleTest, ::testing::Values(0, 8, 2),
+                         [](const auto& spec) {
+                           return spec.param == 0 ? std::string("fits")
+                                                  : std::to_string(spec.param) + "pages";
+                         });
+
+TEST(BTreeStoreTest, EntryTooBigForEitherHalfOfASplitGetsItsOwnLeaf) {
+  // A leaf of 60 small entries (47 bytes each with their slots) takes, in its
+  // middle, the largest entry a 4 KiB page holds: the longest key with a
+  // maximal inline value, 3,064 bytes. Beside either half it would overflow
+  // a page, so the leaf splits at its slot and it gets a leaf of its own.
+  ScopedTempDir dir;
+  constexpr uint32_t kPage = 4096;
+  auto key_of = [](int i) {
+    char key[8];
+    std::snprintf(key, sizeof(key), "a%02d", i % 100);
+    return std::string(key);
+  };
+  const std::string big_key = "a29" + std::string(MaxKeyBytes(kPage) - 3, 'x');
+  const std::string big_value(MaxInlineValue(kPage), 'v');
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    auto* btree = static_cast<BTreeStore*>(store->get());
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE((*store)->Put(key_of(i), std::string(30, 's')).ok());
+    }
+    ASSERT_EQ(btree->height(), 1u);
+    ASSERT_TRUE((*store)->Put(big_key, big_value).ok());
+    EXPECT_EQ(btree->height(), 2u);
+    EXPECT_EQ(btree->num_pages(), 5u);  // meta, root and three leaves
+    ASSERT_TRUE(btree->CheckInvariants().ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().ok());
+  std::string value;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE((*store)->Get(key_of(i), &value).ok()) << i;
+    EXPECT_EQ(value, std::string(30, 's'));
+  }
+  ASSERT_TRUE((*store)->Get(big_key, &value).ok());
+  EXPECT_EQ(value, big_value);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, RefusesPageFileOfTheDecodedNodeFormat) {
+  // A btree.db as the decoded-node format wrote it: a meta page of magic,
+  // root 1, next page 2, empty free list and height 1, then an empty leaf
+  // (type 1, no keys, no next leaf). Its meta page has no format field.
+  ScopedTempDir dir;
+  constexpr uint32_t kPage = 4096;
+  std::string file;
+  for (uint32_t field : {0x42545245u, 1u, 2u, 0u, 1u}) {
+    file.append(reinterpret_cast<const char*>(&field), 4);
+  }
+  file.resize(kPage, '\0');
+  file.push_back('\x01');
+  file.resize(2 * kPage, '\0');
+  ASSERT_TRUE(WriteStringToFile(dir.path() + "/btree.db", file, /*sync=*/false).ok());
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+  EXPECT_NE(store.status().ToString().find(dir.path() + "/btree.db"), std::string::npos)
+      << store.status().ToString();
+}
+
+TEST(BTreeStoreTest, RefusesUnsupportedAndMismatchedPageSizes) {
+  ScopedTempDir dir;
+  for (uint32_t size : {kMinPageSize - 1, kMaxPageSize + 1}) {
+    BTreeOptions opts;
+    opts.page_size = size;
+    auto store = BTreeStore::Open(dir.path() + "/bad", opts);
+    ASSERT_FALSE(store.ok()) << size;
+    EXPECT_TRUE(store.status().IsInvalidArgument()) << store.status().ToString();
+  }
+  {
+    auto store = BTreeStore::Open(dir.path() + "/db", BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("k", "v").ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  BTreeOptions other;
+  other.page_size = 8192;
+  auto store = BTreeStore::Open(dir.path() + "/db", other);
+  ASSERT_FALSE(store.ok());
+  EXPECT_TRUE(store.status().IsInvalidArgument()) << store.status().ToString();
+}
 
 // ---------------------------------------------------------- concurrency
 
