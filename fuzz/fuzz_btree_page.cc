@@ -2,15 +2,16 @@
 // decoder of page-file bytes.
 //
 // Input: a mode byte, a key-length byte (mod 24) and the key, then
-//   mode 0: one page. CheckBTreePageLayout runs on it; a page that passes is
+//   mode 0: one page. CheckBTreePage runs on it; a page that passes is
 //     searched in place for the key, then edited (the key erased from a leaf
 //     that has it, inserted where it is missing) and compacted, and must
 //     still pass the check after each edit.
 //   any other mode: a value-length byte (times 8, past the 128-byte inline
 //     limit of 512-byte pages), then a btree.db of 512-byte pages (meta page
 //     plus node and overflow pages). The store opens it on a 4-page pool and
-//     runs Gets, CheckInvariants, one Put and one Delete of the key: each may
-//     fail, none may crash or loop.
+//     runs Gets, CheckInvariants, one Put of the key and the Gets again, one
+//     Delete and the Gets once more, so a read sees what an edit of a page
+//     did to its other records: each may fail, none may crash or loop.
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -26,7 +27,7 @@ namespace {
 constexpr uint32_t kFuzzPageSize = 512;
 
 void EditPage(std::string page, const std::string& key) {
-  if (!gadget::CheckBTreePageLayout(page).ok()) {
+  if (!gadget::CheckBTreePage(page).ok()) {
     return;
   }
   gadget::BTreePage view(page.data(), static_cast<uint32_t>(page.size()));
@@ -46,11 +47,11 @@ void EditPage(std::string page, const std::string& key) {
       return;  // no room: the page is unchanged
     }
   }
-  if (!gadget::CheckBTreePageLayout(page).ok()) {
+  if (!gadget::CheckBTreePage(page).ok()) {
     std::abort();  // an edit broke a page that passed the check
   }
   view.Compact(&scratch);
-  if (!gadget::CheckBTreePageLayout(page).ok()) {
+  if (!gadget::CheckBTreePage(page).ok()) {
     std::abort();  // compaction broke a page that passed the check
   }
 }
@@ -70,17 +71,22 @@ void RunStore(std::string_view file, const std::string& key, size_t value_size) 
     return;
   }
   auto* tree = static_cast<gadget::BTreeStore*>(store->get());
-  for (const std::string& probe : {key, std::string(), std::string(2, '\xff')}) {
-    std::string value;
-    // status intentionally ignored: corrupt trees must fail reads cleanly.
-    (void)tree->Get(probe, &value);
-  }
+  auto probe_all = [&] {
+    for (const std::string& probe : {key, std::string(), std::string(2, '\xff')}) {
+      std::string value;
+      // status intentionally ignored: corrupt trees must fail reads cleanly.
+      (void)tree->Get(probe, &value);
+    }
+  };
+  probe_all();
   // status intentionally ignored: the walk reports corruption, never loops.
   (void)tree->CheckInvariants();
   // status intentionally ignored: writes to a corrupt tree may fail cleanly.
   (void)tree->Put(key, std::string(value_size, 'v'));
+  probe_all();
   // status intentionally ignored: as above.
   (void)tree->Delete(key);
+  probe_all();
   // status intentionally ignored: as above.
   (void)tree->Close();
 }

@@ -332,13 +332,42 @@ bool GenBTreePage(const std::string& root) {
   }
   cycle.replace(static_cast<size_t>(root_id) * kPage + 4, 4, fixed32(root_id));
 
+  // A one-leaf tree whose record for key "" lies inside the 16-byte value of
+  // "k001", counted in the record area as if it were its own. The target's
+  // Put of k001 with 16 bytes of 'v' fits in place, which would turn the
+  // inner record's tag into 0x7676; its next Get of "" would read that many
+  // bytes out of the page.
+  std::string nested_leaf = new_page(kLeafPage, 0);
+  BTreePage nested_view(nested_leaf.data(), kPage);
+  if (!nested_view.Insert(0, {"k001", fixed16(16), std::string(16, 'a')}, &scratch)) {
+    return false;
+  }
+  const auto outer = static_cast<uint16_t>(kPage - nested_view.record_size(0));
+  const auto inner = static_cast<uint16_t>(outer + 4 + 2 + 4);
+  nested_leaf.replace(inner, 5, fixed16(3) + "abc");
+  // Slot 0 becomes "" (zero prefix, length 0) at `inner`; k001 moves to slot 1.
+  nested_leaf.replace(kPageHeaderSize + kSlotSize, kSlotSize,
+                      nested_leaf.substr(kPageHeaderSize, kSlotSize));
+  nested_leaf.replace(kPageHeaderSize, kSlotSize,
+                      std::string(8, '\0') + fixed16(inner) + fixed16(0));
+  nested_leaf.replace(2, 2, fixed16(2));
+  nested_leaf.replace(8, 2, fixed16(static_cast<uint16_t>(outer - 5)));
+  // Meta page: magic, root, next page, free-list head, height, format, page size.
+  std::string nested;
+  for (uint32_t field : {0x42545245u, 1u, 2u, 0u, 1u, 2u, kPage}) {
+    nested += fixed32(field);
+  }
+  nested.resize(kPage, '\0');
+  nested += nested_leaf;
+
   return Emit(root, "btree_page", "empty_leaf", page_input("k001", empty)) &&
          Emit(root, "btree_page", "full_leaf", page_input(key_of(3), full)) &&
          Emit(root, "btree_page", "internal", page_input("k055", internal)) &&
          Emit(root, "btree_page", "overflow_ref", page_input("k002", overflow)) &&
          Emit(root, "btree_page", "overlapping_slots", page_input("k001", overlap)) &&
          Emit(root, "btree_page", "tree", file_input(key_of(41), 40, file)) &&
-         Emit(root, "btree_page", "child_cycle", file_input(key_of(7), 2, cycle));
+         Emit(root, "btree_page", "child_cycle", file_input(key_of(7), 2, cycle)) &&
+         Emit(root, "btree_page", "nested_record", file_input("k001", 2, nested));
 }
 
 }  // namespace

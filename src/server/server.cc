@@ -112,7 +112,11 @@ struct ShardOps {
 class Burst {
  public:
   explicit Burst(ShardSet* shards)
-      : shards_(shards), ops_(static_cast<size_t>(shards->shards())) {}
+      : shards_(shards), ops_(static_cast<size_t>(shards->shards())) {
+    for (int s = 0; s < shards->shards(); ++s) {
+      max_key_bytes_ = std::min(max_key_bytes_, shards->shard(s)->max_key_bytes());
+    }
+  }
 
   // Adds one decoded request. A GET's key moves into `req.keys`.
   void Add(Request& req);
@@ -126,11 +130,17 @@ class Burst {
  private:
   void Read(uint32_t call, uint32_t index, std::string_view key);
   void Write(uint32_t call, WriteBatch::Op op, std::string_view key, std::string_view value);
+  // InvalidArgument when a put or merge carries a key longer than the shards'
+  // stores take. Such a call is refused whole before any of its ops joins a
+  // shard's batch, where the store's refusal would fail every call the batch
+  // carries.
+  Status CheckKey(WriteBatch::Op op, std::string_view key) const;
   void RunWrites(size_t shard);
   void RunReads(size_t shard);
 
   ShardSet* shards_;
   std::vector<ShardOps> ops_;
+  size_t max_key_bytes_ = SIZE_MAX;  // the least any shard's store takes
   std::vector<Call> calls_;
   std::vector<std::string> values_;  // MultiGet scratch
   std::vector<Status> statuses_;
@@ -153,15 +163,24 @@ void Burst::Add(Request& req) {
       }
       break;
     case MsgType::kPut:
-      Write(c, WriteBatch::Op::kPut, req.key, req.value);
+    case MsgType::kMerge: {
+      const auto op = req.type == MsgType::kPut ? WriteBatch::Op::kPut : WriteBatch::Op::kMerge;
+      call.status = CheckKey(op, req.key);
+      if (call.status.ok()) {
+        Write(c, op, req.key, req.value);
+      }
       break;
-    case MsgType::kMerge:
-      Write(c, WriteBatch::Op::kMerge, req.key, req.value);
-      break;
+    }
     case MsgType::kDelete:
       Write(c, WriteBatch::Op::kDelete, req.key, {});
       break;
     case MsgType::kWriteBatch:
+      for (size_t i = 0; i < req.batch.size() && call.status.ok(); ++i) {
+        call.status = CheckKey(req.batch.entry(i).op, req.batch.entry(i).key);
+      }
+      if (!call.status.ok()) {
+        break;
+      }
       for (size_t i = 0; i < req.batch.size(); ++i) {
         const WriteBatch::Entry& e = req.batch.entry(i);
         Write(c, e.op, e.key, e.value);
@@ -170,6 +189,16 @@ void Burst::Add(Request& req) {
     default:  // PING and STATS touch no shard
       break;
   }
+}
+
+Status Burst::CheckKey(WriteBatch::Op op, std::string_view key) const {
+  // A delete needs no check: a key too long to store is never there.
+  if (op == WriteBatch::Op::kDelete || key.size() <= max_key_bytes_) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument("key of " + std::to_string(key.size()) +
+                                 " bytes; the store takes at most " +
+                                 std::to_string(max_key_bytes_));
 }
 
 void Burst::Read(uint32_t call, uint32_t index, std::string_view key) {

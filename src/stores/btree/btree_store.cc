@@ -120,11 +120,10 @@ Status BTreeStore::PersistMeta() {
 }
 
 Status BTreeStore::CheckKeySize(std::string_view key) const {
-  if (key.size() > MaxKeyBytes(opts_.page_size)) {
+  if (key.size() > max_key_bytes()) {
     return Status::InvalidArgument("btree key of " + std::to_string(key.size()) +
                                    " bytes; pages of " + std::to_string(opts_.page_size) +
-                                   " bytes take at most " +
-                                   std::to_string(MaxKeyBytes(opts_.page_size)));
+                                   " bytes take at most " + std::to_string(max_key_bytes()));
   }
   return Status::Ok();
 }
@@ -747,7 +746,8 @@ Status BTreeStore::CheckInvariants() {
     if (!ref.ok()) {
       return ref.status();
     }
-    const Status layout = CheckBTreePageLayout({ref->page, opts_.page_size});
+    // A miss checked the page as it was read; a hit may hold edits since.
+    const Status layout = CheckBTreePage({ref->page, opts_.page_size});
     if (!layout.ok()) {
       return Status::Corruption(where + ": " + layout.message());
     }
@@ -757,7 +757,7 @@ Status BTreeStore::CheckInvariants() {
                                 " of a tree of height " + std::to_string(height_));
     }
     const size_t n = page.count();
-    // Keys are in order (the layout check), so the extremes bound them all.
+    // Keys are in order (the page check), so the extremes bound them all.
     if (n > 0 && (page.key(0) < item.low || (item.has_high && page.key(n - 1) >= item.high))) {
       return Status::Corruption(where + ": key outside separator bounds");
     }

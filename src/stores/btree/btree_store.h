@@ -93,11 +93,12 @@ class BTreeStore : public KVStore {
                                       const CheckpointOptions& options) override;
   StoreStats stats() const override;
   std::string name() const override { return "btree"; }
+  size_t max_key_bytes() const override { return MaxKeyBytes(opts_.page_size); }
 
   // Introspection for tests.
   uint32_t height() const;
   uint64_t num_pages() const;
-  // Walks the whole tree checking each page's layout (CheckBTreePageLayout),
+  // Walks the whole tree checking each page's layout (CheckBTreePage),
   // separator bounds, uniform leaf depth and that no page is reached twice.
   Status CheckInvariants();
 

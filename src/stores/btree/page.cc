@@ -240,8 +240,14 @@ Status CheckBTreePage(std::string_view page) {
   if (kPageHeaderSize + n * kSlotSize > heap || heap > size) {
     return Status::Corruption("btree page slots overrun its records");
   }
+  if (type == kInternalPage && n == 0) {
+    return Status::Corruption("btree internal page without keys");
+  }
   const size_t max_key = MaxKeyBytes(static_cast<uint32_t>(size));
   const size_t max_inline = MaxInlineValue(static_cast<uint32_t>(size));
+  std::vector<std::pair<size_t, size_t>> records;  // (offset, bytes)
+  records.reserve(n);
+  std::string_view prev_key;
   size_t used = 0;
   for (size_t i = 0; i < n; ++i) {
     const char* slot = p + kPageHeaderSize + i * kSlotSize;
@@ -267,43 +273,29 @@ Status CheckBTreePage(std::string_view page) {
         return Status::Corruption("btree value outside its page");
       }
     }
+    const std::string_view key = page.substr(at, key_size);
     char prefix[8];
-    PrefixBytes(page.substr(at, key_size), prefix);
+    PrefixBytes(key, prefix);
     if (std::memcmp(prefix, slot, 8) != 0) {
       return Status::Corruption("btree slot prefix does not match its key");
     }
-    used += bytes;
-  }
-  if (used + frag != size - heap) {
-    return Status::Corruption("btree page records and frag do not fill its record area");
-  }
-  return Status::Ok();
-}
-
-Status CheckBTreePageLayout(std::string_view page) {
-  GADGET_RETURN_IF_ERROR(CheckBTreePage(page));
-  // Read-only from here: the view's accessors do not write.
-  const BTreePage view(const_cast<char*>(page.data()), static_cast<uint32_t>(page.size()));
-  const size_t n = view.count();
-  if (!view.leaf() && n == 0) {
-    return Status::Corruption("btree internal page without keys");
-  }
-  for (size_t i = 1; i < n; ++i) {
-    if (!(view.key(i - 1) < view.key(i))) {
+    if (i > 0 && !(prev_key < key)) {
       return Status::Corruption("btree keys out of order at slot " + std::to_string(i));
     }
+    prev_key = key;
+    records.emplace_back(at, bytes);
+    used += bytes;
   }
-  std::vector<std::pair<size_t, size_t>> records;  // (offset, bytes)
-  records.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    records.emplace_back(static_cast<size_t>(view.key(i).data() - page.data()),
-                         view.record_size(i));
-  }
+  // Records that overlap could still add up with frag, and an in-place edit
+  // of one would rewrite the other's key or tag.
   std::sort(records.begin(), records.end());
   for (size_t i = 1; i < records.size(); ++i) {
     if (records[i - 1].first + records[i - 1].second > records[i].first) {
       return Status::Corruption("btree records overlap");
     }
+  }
+  if (used + frag != size - heap) {
+    return Status::Corruption("btree page records and frag do not fill its record area");
   }
   return Status::Ok();
 }

@@ -173,16 +173,14 @@ class BTreePage {
   uint32_t size_;
 };
 
-// The miss path's check, run on every page read from the file: the size is
-// a supported page size, the header is sane, every slot's record lies inside
-// the record area with a well-formed value, its key is within MaxKeyBytes
-// and matches its prefix, and the record bytes plus frag fill the area
-// exactly. Corruption otherwise. Page bytes that pass are safe to search and
-// edit through BTreePage.
+// The check every page read from the file passes before any accessor above
+// touches it: the size is a supported page size, the header is sane (an
+// internal page has a key), every slot's record lies inside the record area
+// with a well-formed value, its key is within MaxKeyBytes and matches its
+// prefix, keys strictly increase, no two records overlap, and the record
+// bytes plus frag fill the area exactly. Corruption otherwise. Page bytes
+// that pass are safe to search and edit through BTreePage.
 Status CheckBTreePage(std::string_view page);
-// CheckBTreePage plus what only a whole-page walk shows: keys in strictly
-// increasing order and no two records overlapping (CheckInvariants).
-Status CheckBTreePageLayout(std::string_view page);
 
 }  // namespace gadget
 

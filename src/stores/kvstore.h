@@ -236,6 +236,11 @@ class KVStore {
 
   virtual bool supports_merge() const { return false; }
 
+  // The longest key Put, Merge, ReadModifyWrite and Write take; a write of a
+  // longer key is refused with InvalidArgument. Unbounded unless the engine's
+  // layout bounds it (the B+tree's pages).
+  virtual size_t max_key_bytes() const { return SIZE_MAX; }
+
   // Persists all buffered state (memtables, dirty pages, log tail).
   virtual Status Flush() { return Status::Ok(); }
 

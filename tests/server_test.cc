@@ -451,6 +451,51 @@ TEST(ServerTest, BTreeShardRefusesOversizedKeyAndServesOn) {
   (*server)->Stop();
 }
 
+TEST(ServerTest, OversizedKeyFailsOnlyItsOwnPipelinedFrame) {
+  // Frames sent in one write share a burst, whose writes to a shard run as
+  // one WriteBatch. A frame with a key the B+tree refuses must fail alone:
+  // the PUT before it and the PUT after it apply, and a WRITE_BATCH that
+  // carries such a key applies none of its entries.
+  ScopedTempDir tmp("gadget-server-test");
+  ServerOptions opts;
+  opts.shards = 1;
+  opts.io_threads = 1;
+  opts.store.engine = "btree";
+  opts.store.dir = tmp.path() + "/db";
+  auto server = Server::Start(opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto fd = net::TcpConnect((*server)->port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  net::FramedConn conn(*fd);
+  const std::string oversized(5000, 'x');
+  WriteBatch batch;
+  batch.Put("b", "vb");
+  batch.Put(oversized, "v");
+  std::string out;
+  AppendPutRequest(&out, 1, "a", "va");
+  AppendPutRequest(&out, 2, oversized, "v");
+  AppendPutRequest(&out, 3, "c", "vc");
+  AppendWriteBatchRequest(&out, 4, batch);
+  AppendGetRequest(&out, 5, "a");
+  AppendGetRequest(&out, 6, "b");
+  AppendGetRequest(&out, 7, "c");
+  ASSERT_TRUE(conn.Send(out).ok());
+  const std::vector<std::pair<MsgType, std::string>> want = {
+      {MsgType::kOk, ""},       {MsgType::kError, ""},    {MsgType::kOk, ""},
+      {MsgType::kError, ""},    {MsgType::kValue, "va"},  {MsgType::kNotFound, ""},
+      {MsgType::kValue, "vc"}};
+  for (uint32_t id = 1; id <= want.size(); ++id) {
+    Response rsp;
+    ASSERT_TRUE(conn.RecvResponse(&rsp).ok());
+    EXPECT_EQ(rsp.id, id);
+    EXPECT_EQ(rsp.type, want[id - 1].first) << id;
+    if (rsp.type == MsgType::kValue) {
+      EXPECT_EQ(rsp.value, want[id - 1].second) << id;
+    }
+  }
+  (*server)->Stop();
+}
+
 // A stand-in server for one connection, for read errors no real engine
 // produces on demand: PING, STATS and writes succeed; in a MULTI_GET, key
 // "hit" is found, "miss" is not, and every other key fails with an IoError.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <thread>
 
@@ -865,6 +866,62 @@ TEST(BTreeStoreTest, RefusesPageFileOfTheDecodedNodeFormat) {
   EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
   EXPECT_NE(store.status().ToString().find(dir.path() + "/btree.db"), std::string::npos)
       << store.status().ToString();
+}
+
+TEST(BTreeStoreTest, RefusesLeafWithARecordInsideAnother) {
+  // A root leaf whose record for key "" lies inside the value of "k001" and
+  // is counted in the record area as if it were its own. Every other bound
+  // of the page holds. Overwriting k001 in place would rewrite the inner
+  // record's tag with the new value's bytes (0xfffe here), and a Get of ""
+  // would then read that many bytes out of a 4 KiB page, so the page must be
+  // refused when it is read.
+  ScopedTempDir dir;
+  constexpr uint32_t kPage = 4096;
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("k001", std::string(64, 'a')).ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  const std::string path = dir.path() + "/btree.db";
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(path, &file).ok());
+  ASSERT_EQ(file.size(), 2 * kPage);
+  std::string page = file.substr(kPage);
+  const BTreePage leaf(page.data(), kPage);
+  ASSERT_EQ(leaf.count(), 1u);
+  const auto outer = static_cast<uint16_t>(leaf.key(0).data() - page.data());
+  const auto inner = static_cast<uint16_t>(outer + 4 + 2 + 8);  // 8 bytes into the value
+  const uint16_t tag = 3;
+  std::memcpy(&page[inner], &tag, 2);
+  std::memcpy(&page[inner + 2], "abc", 3);
+  // Slot 0 becomes "" (zero prefix, length 0) at `inner`; k001 moves to slot 1.
+  std::string slots(2 * kSlotSize, '\0');
+  std::memcpy(&slots[8], &inner, 2);
+  slots.replace(kSlotSize, kSlotSize, page, kPageHeaderSize, kSlotSize);
+  page.replace(kPageHeaderSize, slots.size(), slots);
+  const uint16_t count = 2;
+  const auto heap = static_cast<uint16_t>(outer - 5);
+  std::memcpy(&page[2], &count, 2);
+  std::memcpy(&page[8], &heap, 2);
+  const Status check = CheckBTreePage(page);
+  EXPECT_TRUE(check.IsCorruption());
+  EXPECT_NE(check.ToString().find("overlap"), std::string::npos) << check.ToString();
+  file.replace(kPage, kPage, page);
+  ASSERT_TRUE(WriteStringToFile(path, file, /*sync=*/false).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();  // Open reads the meta page only
+  std::string value(64, 'v');
+  value[8] = '\xfe';
+  value[9] = '\xff';
+  const Status put = (*store)->Put("k001", value);
+  EXPECT_TRUE(put.IsCorruption()) << put.ToString();
+  EXPECT_NE(put.ToString().find(path + ": page 1"), std::string::npos) << put.ToString();
+  std::string got;
+  EXPECT_TRUE((*store)->Get("", &got).IsCorruption());
+  EXPECT_TRUE((*store)->Get("k001", &got).IsCorruption());
+  EXPECT_TRUE(static_cast<BTreeStore*>(store->get())->CheckInvariants().IsCorruption());
 }
 
 TEST(BTreeStoreTest, RefusesUnsupportedAndMismatchedPageSizes) {
