@@ -360,6 +360,35 @@ bool GenBTreePage(const std::string& root) {
   nested.resize(kPage, '\0');
   nested += nested_leaf;
 
+  // A tree whose free list holds a freed three-page overflow chain, with the
+  // list's head linking to page 2^30, far past the end of the file. The
+  // target's Put of a 320-byte value pops the head for its overflow page,
+  // which must fail as corruption rather than make page 2^30 the new head.
+  const std::string free_dir = tmp.path() + "/free";
+  {
+    BTreeOptions opts;
+    opts.page_size = kPage;
+    auto store = BTreeStore::Open(free_dir, opts);
+    if (!store.ok()) {
+      return false;
+    }
+    for (int i = 0; i < 8; ++i) {
+      if (!(*store)->Put(key_of(i), "value-" + std::to_string(i)).ok()) {
+        return false;
+      }
+    }
+    if (!(*store)->Put(key_of(3), std::string(3 * (kPage - 8), 'o')).ok() ||
+        !(*store)->Put(key_of(3), "small").ok() || !(*store)->Close().ok()) {
+      return false;
+    }
+  }
+  std::string free_list = FileBytes(free_dir + "/btree.db");
+  const uint32_t free_head = DecodeFixed32(free_list.data() + 12);
+  if (free_head == 0 || static_cast<size_t>(free_head + 1) * kPage > free_list.size()) {
+    return false;
+  }
+  free_list.replace(static_cast<size_t>(free_head) * kPage, 4, fixed32(1u << 30));
+
   return Emit(root, "btree_page", "empty_leaf", page_input("k001", empty)) &&
          Emit(root, "btree_page", "full_leaf", page_input(key_of(3), full)) &&
          Emit(root, "btree_page", "internal", page_input("k055", internal)) &&
@@ -367,7 +396,8 @@ bool GenBTreePage(const std::string& root) {
          Emit(root, "btree_page", "overlapping_slots", page_input("k001", overlap)) &&
          Emit(root, "btree_page", "tree", file_input(key_of(41), 40, file)) &&
          Emit(root, "btree_page", "child_cycle", file_input(key_of(7), 2, cycle)) &&
-         Emit(root, "btree_page", "nested_record", file_input("k001", 2, nested));
+         Emit(root, "btree_page", "nested_record", file_input("k001", 2, nested)) &&
+         Emit(root, "btree_page", "free_list_out_of_range", file_input(key_of(9), 40, free_list));
 }
 
 }  // namespace

@@ -143,6 +143,11 @@ Status BTreeStore::WritePageRaw(uint32_t page_id, const char* data) {
 StatusOr<BTreeStore::PageRef> BTreeStore::FetchPage(uint32_t page_id, bool fill_cache) {
   PageRef ref;
   ref.page_id = page_id;
+  ref.page = DirtyPageOrNull(page_id);
+  if (ref.page != nullptr) {
+    ++dirty_hits_;
+    return ref;
+  }
   ref.pin = pool_->Lookup(pool_file_id_, page_id);
   if (ref.pin && ref.pin.object() != nullptr) {
     ref.page = static_cast<char*>(ref.pin.object().get());
@@ -170,22 +175,38 @@ StatusOr<BTreeStore::PageRef> BTreeStore::FetchPage(uint32_t page_id, bool fill_
 }
 
 void BTreeStore::MarkDirty(PageRef* ref) {
-  // Writers fetch with fill_cache, so `ref` always holds a pin to keep.
-  dirty_.try_emplace(ref->page_id, std::move(ref->pin));
+  if (ref->page_id >= dirty_.size()) {
+    dirty_.resize(ref->page_id + 1);
+  }
+  DirtyPage& dirty = dirty_[ref->page_id];
+  if (dirty.page == nullptr) {
+    // Writers fetch with fill_cache, so a page not yet dirty comes with a
+    // pin to keep.
+    dirty.page = ref->page;
+    dirty.pin = std::move(ref->pin);
+  }
 }
 
 char* BTreeStore::InstallPage(uint32_t page_id) {
-  PinnedBlock pin = pool_->Insert(pool_file_id_, page_id, nullptr,
-                                  std::make_shared<char[]>(opts_.page_size), opts_.page_size);
-  char* page = static_cast<char*>(pin.object().get());
-  dirty_.try_emplace(page_id, std::move(pin));
-  return page;
+  PageRef ref;
+  ref.page_id = page_id;
+  ref.pin = pool_->Insert(pool_file_id_, page_id, nullptr,
+                          std::make_shared<char[]>(opts_.page_size), opts_.page_size);
+  ref.page = static_cast<char*>(ref.pin.object().get());
+  MarkDirty(&ref);
+  return ref.page;
 }
 
 Status BTreeStore::WriteBackDirtyLocked() {
-  for (const auto& [page_id, pin] : dirty_) {
-    GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, static_cast<const char*>(pin.object().get())));
+  for (size_t page_id = 0; page_id < dirty_.size(); ++page_id) {
+    DirtyPage& dirty = dirty_[page_id];
+    if (dirty.page == nullptr) {
+      continue;
+    }
+    GADGET_RETURN_IF_ERROR(WritePageRaw(static_cast<uint32_t>(page_id), dirty.page));
     ++stats_.flushes;
+    dirty.page = nullptr;
+    dirty.pin.Release();
   }
   dirty_.clear();
   return Status::Ok();
@@ -200,28 +221,34 @@ Status BTreeStore::MaybeWriteBackLocked() {
   return WriteBackDirtyLocked();
 }
 
-uint32_t BTreeStore::AllocPage() {
-  if (free_head_ != 0) {
-    // Pop from the free list: the page's first 4 bytes hold the next id.
-    std::string raw(opts_.page_size, '\0');
-    if (ReadPageRaw(free_head_, raw.data()).ok()) {
-      uint32_t page = free_head_;
-      free_head_ = DecodeFixed32(raw.data());
-      return page;
-    }
+StatusOr<uint32_t> BTreeStore::AllocOverflowPage() {
+  if (free_head_ == 0) {
+    return next_page_++;
   }
-  return next_page_++;
+  // Pop from the free list: the page's first 4 bytes hold the next id.
+  const uint32_t page = free_head_;
+  std::string raw(opts_.page_size, '\0');
+  GADGET_RETURN_IF_ERROR(ReadPageRaw(page, raw.data()));
+  const uint32_t next = DecodeFixed32(raw.data());
+  if (next >= next_page_ || next == page || DirtyPageOrNull(page) != nullptr ||
+      DirtyPageOrNull(next) != nullptr) {
+    return Status::Corruption(TreePath(dir_) + ": free page " + std::to_string(page) +
+                              " links to page " + std::to_string(next) + " of " +
+                              std::to_string(next_page_));
+  }
+  free_head_ = next;
+  return page;
 }
 
-void BTreeStore::FreePage(uint32_t page_id) {
+Status BTreeStore::FreePage(uint32_t page_id) {
   // Thread onto the free list. Only overflow pages are freed, and they never
   // enter the pool.
   std::string raw;
   PutFixed32(&raw, free_head_);
   raw.resize(opts_.page_size, '\0');
-  if (WritePageRaw(page_id, raw.data()).ok()) {
-    free_head_ = page_id;
-  }
+  GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, raw.data()));
+  free_head_ = page_id;
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------- overflow values
@@ -234,7 +261,11 @@ StatusOr<uint32_t> BTreeStore::StoreOverflow(std::string_view value) {
   std::string page;
   for (size_t offset = 0; offset < value.size();) {
     size_t chunk = std::min(chunk_cap, value.size() - offset);
-    uint32_t page_id = AllocPage();
+    auto alloc = AllocOverflowPage();
+    if (!alloc.ok()) {
+      return alloc.status();
+    }
+    const uint32_t page_id = *alloc;
     page.clear();
     PutFixed32(&page, 0);  // next; patched by the following iteration
     PutFixed32(&page, static_cast<uint32_t>(chunk));
@@ -289,21 +320,20 @@ Status BTreeStore::LoadValue(const BTreePage& leaf, size_t i, std::string* out) 
   return Status::Ok();
 }
 
-void BTreeStore::ReleaseValue(const BTreePage& leaf, size_t i) {
+Status BTreeStore::ReleaseValue(const BTreePage& leaf, size_t i) {
   if (!leaf.overflowed(i)) {
-    return;
+    return Status::Ok();
   }
   const uint64_t max_pages = ChainPages(leaf.overflow_length(i));
   std::string raw(opts_.page_size, '\0');
   uint32_t page_id = leaf.overflow_head(i);
   for (uint64_t pages = 0; page_id != 0 && page_id < next_page_ && pages < max_pages; ++pages) {
-    if (!ReadPageRaw(page_id, raw.data()).ok()) {
-      return;
-    }
-    uint32_t next = DecodeFixed32(raw.data());
-    FreePage(page_id);
+    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, raw.data()));
+    const uint32_t next = DecodeFixed32(raw.data());
+    GADGET_RETURN_IF_ERROR(FreePage(page_id));
     page_id = next;
   }
+  return Status::Ok();
 }
 
 // ----------------------------------------------------------------- tree ops
@@ -388,7 +418,7 @@ Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
     BTreePage page = View(leaf->page);
     const size_t i = page.LowerBound(key);
     if (i < page.count() && page.key(i) == key) {
-      ReleaseValue(page, i);
+      GADGET_RETURN_IF_ERROR(ReleaseValue(page, i));
       if (page.Overwrite(i, entry.head, entry.body)) {
         return Status::Ok();
       }
@@ -410,7 +440,7 @@ StatusOr<bool> BTreeStore::InsertLeafEntry(BTreePage page, size_t i, const PageE
   // k == 0: no split puts `e` beside either half; split at its slot instead.
   const size_t k = page.SplitPoint(i, kSlotSize + e.record_size(), /*promote=*/false);
   const size_t j = k == 0 ? i : (k <= i ? k : k - 1);
-  const uint32_t right_id = AllocPage();
+  const uint32_t right_id = next_page_++;
   BTreePage right = View(InstallPage(right_id));
   page.MoveTail(j, /*promote=*/false, &right, nullptr, &scratch_);
   right.set_link(page.link());
@@ -433,7 +463,7 @@ Status BTreeStore::InsertIntoParent(std::string separator, uint32_t right_id) {
     const PageEntry e{separator, {child, 4}, {}};
     if (path_.empty()) {
       // The root split: grow a new root above the two halves.
-      const uint32_t root_id = AllocPage();
+      const uint32_t root_id = next_page_++;
       BTreePage root = View(InstallPage(root_id));
       root.Init(kInternalPage, root_);
       if (!root.Insert(0, e, &scratch_)) {
@@ -468,7 +498,7 @@ Status BTreeStore::InsertIntoParent(std::string separator, uint32_t right_id) {
       return Status::Corruption(TreePath(dir_) + ": internal page " +
                                 std::to_string(parent.page_id) + " cannot split");
     }
-    const uint32_t new_right = AllocPage();
+    const uint32_t new_right = next_page_++;
     BTreePage right = View(InstallPage(new_right));
     bool placed = true;
     if (k == i) {
@@ -496,7 +526,7 @@ Status BTreeStore::DeleteLocked(std::string_view key) {
   if (i == page.count()) {
     return Status::Ok();  // blind delete of a missing key is a no-op
   }
-  ReleaseValue(page, i);
+  GADGET_RETURN_IF_ERROR(ReleaseValue(page, i));
   page.Erase(i);
   MarkDirty(&*leaf);
   // No rebalancing: an emptied leaf stays linked and later inserts in its
@@ -701,8 +731,9 @@ StoreStats BTreeStore::stats() const {
   MutexLock lock(&mu_);
   StoreStats out = stats_;
   FoldBatchStats(&out);
-  // Pool-wide totals (the pool may be shared across stores; see kvstore.h).
-  out.cache_hits = pool_->hits();
+  // Pool-wide totals (the pool may be shared across stores; see kvstore.h),
+  // plus the fetches this store's dirty pages served without the pool.
+  out.cache_hits = pool_->hits() + dirty_hits_;
   out.cache_misses = pool_->misses();
   out.cache_evictions = pool_->evictions();
   out.cache_pins = pool_->pins();

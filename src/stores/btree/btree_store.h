@@ -8,9 +8,9 @@
 // than a quarter page live in overflow-page chains (holistic window buckets
 // grow far beyond a page). Deletes remove entries without rebalancing: an
 // emptied leaf stays linked and later inserts in its key range refill it.
-// Node pages never return to the free list; only overflow pages do. This
-// matches BerkeleyDB's lazy reclamation behaviour closely enough for
-// benchmarking.
+// Node pages never return to the free list, and never come from it: only
+// overflow pages do. This matches BerkeleyDB's lazy reclamation behaviour
+// closely enough for benchmarking.
 //
 // Keys are at most MaxKeyBytes(page_size) bytes (page.h: 2,026 at the default
 // 4 KiB pages, the largest for which every split leaves its pages within a
@@ -21,12 +21,14 @@
 // store's only memory bound, as BerkeleyDB's own cache is. A mutated page
 // keeps the pin on its pool frame until it is written back, so it is
 // charged to the pool and cannot be evicted: the pool always holds the
-// page's current bytes. Dirty pages are written back, and unpinned, on
-// Flush(), Checkpoint() and Close(), and when the pool is under pressure:
-// the first call after the pool had to admit a frame over budget because
-// every frame in a shard was pinned (BufferPool::overshoots()) writes back
-// this store's whole dirty set. A tree that fits the pool writes nothing
-// until it is flushed.
+// page's current bytes. The dirty set is a table indexed by page id that
+// holds each dirty page's bytes and pin, and a descent reads it before the
+// pool: a page the store already pins costs no shard lock. Dirty pages are
+// written back in page order, and unpinned, on Flush(), Checkpoint() and
+// Close(), and when the pool is under pressure: the first call after the
+// pool had to admit a frame over budget because every frame in a shard was
+// pinned (BufferPool::overshoots()) writes back this store's whole dirty
+// set. A tree that fits the pool writes nothing until it is flushed.
 // Crash-consistency (journaling) is out of scope — the paper benchmarks the
 // storage engine data path, not transactional recovery (DESIGN.md §2).
 #ifndef GADGET_STORES_BTREE_BTREE_STORE_H_
@@ -35,7 +37,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -104,9 +105,9 @@ class BTreeStore : public KVStore {
 
  private:
   // A page fetched for one operation. `pin` holds its pool frame, which
-  // keeps `page` (the frame's bytes) alive and resident; a fill_cache=false
-  // miss is never admitted, so `uncached` owns those bytes instead and `pin`
-  // is empty.
+  // keeps `page` (the frame's bytes) alive and resident. `pin` is empty for
+  // a dirty page, whose pin stays in dirty_, and for a fill_cache=false
+  // miss, which is never admitted: `uncached` owns those bytes instead.
   struct PageRef {
     uint32_t page_id = 0;
     char* page = nullptr;
@@ -118,6 +119,12 @@ class BTreeStore : public KVStore {
     uint32_t page_id;
     size_t child_index;
   };
+  // A dirty page: its frame's bytes, and the pin that keeps the frame. An
+  // empty entry (page null, no pin) is a page id that is not dirty.
+  struct DirtyPage {
+    char* page = nullptr;
+    PinnedBlock pin;
+  };
 
   BTreeStore(std::string dir, const BTreeOptions& opts, std::shared_ptr<BufferPool> pool);
 
@@ -127,23 +134,33 @@ class BTreeStore : public KVStore {
   Status CheckKeySize(std::string_view key) const;
 
   // --- page cache (mu_ held) ---
-  // The pool, then disk: a miss is one pread plus CheckBTreePage. A dirty
-  // page is pinned, so the pool always has it. `fill_cache` = false skips
-  // pool admission on a miss.
+  // dirty_, then the pool, then disk. A dirty page is an index into dirty_
+  // and a load: no shard lock, no pin. A miss is one pread plus
+  // CheckBTreePage. `fill_cache` = false skips pool admission on a miss.
   StatusOr<PageRef> FetchPage(uint32_t page_id, bool fill_cache = true) REQUIRES(mu_);
+  // The dirty page `page_id`, or null when it is not dirty.
+  char* DirtyPageOrNull(uint32_t page_id) const REQUIRES(mu_) {
+    return page_id < dirty_.size() ? dirty_[page_id].page : nullptr;
+  }
   // Registers a page about to be mutated in dirty_, which keeps its pin
   // (idempotent: a page already dirty keeps its first pin).
   void MarkDirty(PageRef* ref) REQUIRES(mu_);
   // Admits a new page to the pool, pinned and dirty (splits, new roots), and
   // returns its bytes for the caller to format.
   char* InstallPage(uint32_t page_id) REQUIRES(mu_);
-  // Writes every dirty page to the page file and unpins it (no sync).
+  // Writes every dirty page to the page file in page order and unpins it
+  // (no sync).
   Status WriteBackDirtyLocked() REQUIRES(mu_);
   // Full write-back once the pool has overshot its budget since this store
   // last looked: the dirty set's pins are what keep the pool over budget.
   Status MaybeWriteBackLocked() REQUIRES(mu_);
-  uint32_t AllocPage() REQUIRES(mu_);
-  void FreePage(uint32_t page_id) REQUIRES(mu_);
+  // Pops the free list, or grows the file. Corruption when the free list
+  // links to a page outside the file, to itself or to a dirty page: free
+  // pages are overflow pages, which never enter the pool. Node pages always
+  // grow the file (next_page_++), so a split never reads the free list and
+  // cannot fail half done.
+  StatusOr<uint32_t> AllocOverflowPage() REQUIRES(mu_);
+  Status FreePage(uint32_t page_id) REQUIRES(mu_);
   Status PersistMeta() REQUIRES(mu_);
   // Flush body shared by Flush() and Checkpoint(): write-back every dirty
   // page, persist the meta page, fdatasync the file.
@@ -177,7 +194,7 @@ class BTreeStore : public KVStore {
   // Leaf slot i's value, inline or from its chain.
   Status LoadValue(const BTreePage& leaf, size_t i, std::string* out) REQUIRES(mu_);
   // Returns slot i's overflow chain, if it has one, to the free list.
-  void ReleaseValue(const BTreePage& leaf, size_t i) REQUIRES(mu_);
+  Status ReleaseValue(const BTreePage& leaf, size_t i) REQUIRES(mu_);
   // The most pages a chain holding `length` bytes may have.
   uint64_t ChainPages(uint32_t length) const { return length / (opts_.page_size - 8) + 1; }
 
@@ -200,8 +217,13 @@ class BTreeStore : public KVStore {
   uint32_t free_head_ GUARDED_BY(mu_) = 0;
   uint32_t height_ GUARDED_BY(mu_) = 1;
 
-  // Mutated pages not yet written back, each holding its frame's pin.
-  std::unordered_map<uint32_t, PinnedBlock> dirty_ GUARDED_BY(mu_);
+  // Mutated pages not yet written back, indexed by page id, each holding
+  // its frame's pin: exactly the dirty set, sized to the highest page
+  // dirtied since the last write-back (40 bytes per page id).
+  std::vector<DirtyPage> dirty_ GUARDED_BY(mu_);
+  // Fetches dirty_ served: pool hits the pool never saw, which stats()
+  // adds to its cache_hits.
+  uint64_t dirty_hits_ GUARDED_BY(mu_) = 0;
   // pool_->overshoots() when this store last checked it.
   uint64_t overshoots_seen_ GUARDED_BY(mu_) = 0;
   // The current writer's descent, reused across operations.

@@ -58,6 +58,8 @@ struct StoreStats {
   uint64_t io_bytes_read = 0;
   uint64_t flushes = 0;        // memtable/page-cache flushes
   uint64_t compactions = 0;    // LSM compactions / btree merges
+  // Block/page lookups served from memory and not. The B+tree adds to the
+  // pool's hits the fetches its own dirty pages served without the pool.
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t batches = 0;        // Write()/MultiGet() calls
@@ -82,7 +84,9 @@ struct StoreStats {
   uint64_t wal_group_size_max = 0;
   // Shared buffer pool / async read path (engines on the pool report the
   // POOL's totals — one resource, one set of numbers; others leave zero):
-  uint64_t cache_pins = 0;         // successful pin acquisitions (hit+insert)
+  // Successful pool pin acquisitions (hit+insert). A B+tree fetch of one of
+  // its dirty pages takes no pin, so it counts a cache hit but no pin.
+  uint64_t cache_pins = 0;
   uint64_t io_batches = 0;         // batched-read waves through the IoBackend
   // Widest single I/O wave (reads in flight at once). A gauge, like
   // wal_group_size_max: DeltaSince keeps the later snapshot's value.

@@ -8,6 +8,7 @@
 #include <map>
 #include <thread>
 
+#include "src/common/coding.h"
 #include "src/common/file_util.h"
 #include "src/common/rng.h"
 #include "src/stores/btree/btree_store.h"
@@ -522,6 +523,120 @@ TEST(BTreeStoreTest, TreeThatFitsThePoolWritesNothingBeforeFlush) {
     ASSERT_TRUE((*store)->Get(key_of(i), &value).ok()) << i;
     ASSERT_EQ(value, "v" + std::to_string(i));
   }
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, ResidentDescentTakesNoPoolPins) {
+  // A fresh tree on a pool that fits it is all dirty, and a descent reads
+  // dirty pages from the store's own table: Gets and an in-place Write take
+  // no pool pin, yet every level they read counts as a cache hit. After
+  // Flush nothing is dirty, so a Get pins every level in the pool again.
+  ScopedTempDir dir;
+  BTreeOptions opts;
+  opts.page_size = 512;
+  constexpr int kKeys = 2000;
+  constexpr int kGets = 100;
+  constexpr int kBatch = 32;
+  auto key_of = [](int i) {
+    char key[16];
+    std::snprintf(key, sizeof(key), "k%07d", i);
+    return std::string(key);
+  };
+  auto pool = std::make_shared<BufferPool>(BufferPoolOptions{.capacity_bytes = 4 << 20});
+  auto store = BTreeStore::Open(dir.path(), opts, pool);
+  ASSERT_TRUE(store.ok());
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE((*store)->Put(key_of(i), std::string(8, 'a')).ok());
+  }
+  const uint64_t height = btree->height();
+  const uint64_t pages = btree->num_pages();
+  ASSERT_GE(height, 3u);
+  ASSERT_EQ(pool->overshoots(), 0u);
+
+  const uint64_t pins = pool->pins();
+  const StoreStats before = (*store)->stats();
+  std::string value;
+  for (int i = 0; i < kGets; ++i) {
+    ASSERT_TRUE((*store)->Get(key_of(i * 7), &value).ok()) << i;
+    ASSERT_EQ(value, std::string(8, 'a'));
+  }
+  WriteBatch batch;
+  for (int i = 0; i < kBatch; ++i) {
+    batch.Put(key_of(i * 13), std::string(8, 'b'));  // same length: in place
+  }
+  ASSERT_TRUE((*store)->Write(batch).ok());
+  ASSERT_EQ(btree->num_pages(), pages);  // no split
+  EXPECT_EQ(pool->pins(), pins);
+  const StoreStats after = (*store)->stats();
+  EXPECT_EQ(after.cache_hits - before.cache_hits, (kGets + kBatch) * height);
+  EXPECT_EQ(after.cache_misses, before.cache_misses);
+  EXPECT_EQ(after.cache_pins, before.cache_pins);
+
+  ASSERT_TRUE((*store)->Flush().ok());
+  const uint64_t flushed_pins = pool->pins();
+  ASSERT_TRUE((*store)->Get(key_of(13), &value).ok());
+  EXPECT_EQ(value, std::string(8, 'b'));
+  EXPECT_EQ(pool->pins() - flushed_pins, height);
+  ASSERT_TRUE(btree->CheckInvariants().ok());
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+TEST(BTreeStoreTest, FreeListLinkOutsideTheFileIsCorruption) {
+  // A freed three-page overflow chain is the free list, and its second page
+  // links to page 2^30, past the end of the file. Splits take their pages
+  // from the end of the file and never read the list. The first overflow Put
+  // takes the list's head; the next must fail rather than follow the link
+  // (or skip it and leak the page behind it), and the tree must still read.
+  ScopedTempDir dir;
+  constexpr uint32_t kPage = 4096;
+  const std::string path = dir.path() + "/btree.db";
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("a", "1").ok());
+    ASSERT_TRUE((*store)->Put("big", std::string(3 * (kPage - 8), 'o')).ok());
+    ASSERT_TRUE((*store)->Put("big", "small").ok());  // frees the chain
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(path, &file).ok());
+  const uint32_t head = DecodeFixed32(file.data() + 12);  // meta page field
+  ASSERT_NE(head, 0u);
+  ASSERT_LT(static_cast<size_t>(head) * kPage, file.size());
+  const uint32_t second = DecodeFixed32(file.data() + static_cast<size_t>(head) * kPage);
+  ASSERT_NE(second, 0u);
+  ASSERT_LT(static_cast<size_t>(second) * kPage, file.size());
+  const uint32_t far = 1u << 30;
+  std::memcpy(&file[static_cast<size_t>(second) * kPage], &far, 4);
+  ASSERT_TRUE(WriteStringToFile(path, file, /*sync=*/false).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  auto key_of = [](int i) { return "k" + std::to_string(1000 + i); };
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Put(key_of(i), std::string(40, 's')).ok()) << i;
+  }
+  ASSERT_EQ(btree->height(), 2u);  // the root leaf split
+  ASSERT_TRUE((*store)->Put("c", std::string(1200, 'c')).ok());  // takes the head
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status put = (*store)->Put("d", std::string(1200, 'd'));
+    EXPECT_TRUE(put.IsCorruption()) << put.ToString();
+    EXPECT_NE(put.ToString().find(path), std::string::npos) << put.ToString();
+  }
+  std::string value;
+  ASSERT_TRUE((*store)->Get("a", &value).ok());
+  EXPECT_EQ(value, "1");
+  ASSERT_TRUE((*store)->Get("big", &value).ok());
+  EXPECT_EQ(value, "small");
+  ASSERT_TRUE((*store)->Get("c", &value).ok());
+  EXPECT_EQ(value, std::string(1200, 'c'));
+  EXPECT_TRUE((*store)->Get("d", &value).IsNotFound());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE((*store)->Get(key_of(i), &value).ok()) << i;
+  }
+  ASSERT_TRUE(btree->CheckInvariants().ok());
   ASSERT_TRUE((*store)->Close().ok());
 }
 
