@@ -175,10 +175,14 @@ StatusOr<BTreeStore::PageRef> BTreeStore::FetchPage(uint32_t page_id, bool fill_
 }
 
 void BTreeStore::MarkDirty(PageRef* ref) {
-  if (ref->page_id >= dirty_.size()) {
-    dirty_.resize(ref->page_id + 1);
+  const size_t chunk = ref->page_id >> kDirtyChunkShift;
+  if (chunk >= dirty_.size()) {
+    dirty_.resize(chunk + 1);
   }
-  DirtyPage& dirty = dirty_[ref->page_id];
+  if (dirty_[chunk] == nullptr) {
+    dirty_[chunk] = std::make_unique<DirtyChunk>();
+  }
+  DirtyPage& dirty = (*dirty_[chunk])[ref->page_id & (kDirtyChunkPages - 1)];
   if (dirty.page == nullptr) {
     // Writers fetch with fill_cache, so a page not yet dirty comes with a
     // pin to keep.
@@ -198,17 +202,23 @@ char* BTreeStore::InstallPage(uint32_t page_id) {
 }
 
 Status BTreeStore::WriteBackDirtyLocked() {
-  for (size_t page_id = 0; page_id < dirty_.size(); ++page_id) {
-    DirtyPage& dirty = dirty_[page_id];
-    if (dirty.page == nullptr) {
+  for (size_t chunk = 0; chunk < dirty_.size(); ++chunk) {
+    if (dirty_[chunk] == nullptr) {
       continue;
     }
-    GADGET_RETURN_IF_ERROR(WritePageRaw(static_cast<uint32_t>(page_id), dirty.page));
-    ++stats_.flushes;
-    dirty.page = nullptr;
-    dirty.pin.Release();
+    for (uint32_t i = 0; i < kDirtyChunkPages; ++i) {
+      DirtyPage& dirty = (*dirty_[chunk])[i];
+      if (dirty.page == nullptr) {
+        continue;
+      }
+      const auto page_id = static_cast<uint32_t>(chunk << kDirtyChunkShift | i);
+      GADGET_RETURN_IF_ERROR(WritePageRaw(page_id, dirty.page));
+      ++stats_.flushes;
+      dirty.page = nullptr;
+      dirty.pin.Release();
+    }
+    dirty_[chunk].reset();
   }
-  dirty_.clear();
   return Status::Ok();
 }
 
@@ -292,46 +302,62 @@ Status BTreeStore::LoadValue(const BTreePage& leaf, size_t i, std::string* out) 
     out->assign(leaf.inline_value(i));
     return Status::Ok();
   }
+  return WalkChain(leaf, i, out, nullptr);
+}
+
+Status BTreeStore::WalkChain(const BTreePage& leaf, size_t i, std::string* value,
+                             std::vector<uint32_t>* pages) {
   const uint32_t length = leaf.overflow_length(i);
   const uint64_t max_pages = ChainPages(length);
   if (max_pages > next_page_) {
-    return Status::Corruption("overflow value longer than the page file");
+    return Status::Corruption(TreePath(dir_) + ": overflow value longer than the page file");
   }
-  out->clear();
-  out->reserve(length);
+  if (value != nullptr) {
+    value->clear();
+    value->reserve(length);
+  }
   std::string raw(opts_.page_size, '\0');
+  uint64_t total = 0;
   uint32_t page_id = leaf.overflow_head(i);
-  for (uint64_t pages = 0; page_id != 0; ++pages) {
-    if (pages == max_pages || page_id >= next_page_) {
-      return Status::Corruption("bad overflow chain");
+  for (uint64_t n = 0; page_id != 0; ++n) {
+    // Overflow pages never enter the pool, so a dirty page is a node page.
+    if (n == max_pages || page_id >= next_page_ || DirtyPageOrNull(page_id) != nullptr) {
+      return Status::Corruption(TreePath(dir_) + ": overflow chain links to page " +
+                                std::to_string(page_id) + " of " + std::to_string(next_page_));
     }
     GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, raw.data()));
-    uint32_t next = DecodeFixed32(raw.data());
-    uint32_t chunk = DecodeFixed32(raw.data() + 4);
+    const uint32_t chunk = DecodeFixed32(raw.data() + 4);
     if (chunk > opts_.page_size - 8) {
-      return Status::Corruption("bad overflow chunk");
+      return Status::Corruption(TreePath(dir_) + ": bad overflow chunk in page " +
+                                std::to_string(page_id));
     }
-    out->append(raw.data() + 8, chunk);
-    page_id = next;
+    if (value != nullptr) {
+      value->append(raw.data() + 8, chunk);
+    }
+    if (pages != nullptr) {
+      pages->push_back(page_id);
+    }
+    total += chunk;
+    page_id = DecodeFixed32(raw.data());
   }
-  if (out->size() != length) {
-    return Status::Corruption("overflow chain length mismatch");
+  if (total != length) {
+    return Status::Corruption(TreePath(dir_) + ": overflow chain length mismatch");
+  }
+  if (pages != nullptr) {
+    // Freeing a page twice would loop the free list.
+    std::vector<uint32_t> sorted = *pages;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Status::Corruption(TreePath(dir_) + ": overflow chain visits a page twice");
+    }
   }
   return Status::Ok();
 }
 
-Status BTreeStore::ReleaseValue(const BTreePage& leaf, size_t i) {
-  if (!leaf.overflowed(i)) {
-    return Status::Ok();
-  }
-  const uint64_t max_pages = ChainPages(leaf.overflow_length(i));
-  std::string raw(opts_.page_size, '\0');
-  uint32_t page_id = leaf.overflow_head(i);
-  for (uint64_t pages = 0; page_id != 0 && page_id < next_page_ && pages < max_pages; ++pages) {
-    GADGET_RETURN_IF_ERROR(ReadPageRaw(page_id, raw.data()));
-    const uint32_t next = DecodeFixed32(raw.data());
+Status BTreeStore::FreeChain(const Status& walk, const std::vector<uint32_t>& pages) {
+  GADGET_RETURN_IF_ERROR(walk);
+  for (const uint32_t page_id : pages) {
     GADGET_RETURN_IF_ERROR(FreePage(page_id));
-    page_id = next;
   }
   return Status::Ok();
 }
@@ -406,6 +432,10 @@ Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
     head_size = 10;
   }
   const PageEntry entry{key, {head, head_size}, body};
+  // The chain of the value this Put replaces, walked before its slot
+  // changes and freed once the slot no longer names it.
+  std::vector<uint32_t> old_chain;
+  Status old_walk;
   // A leaf split that cannot put the entry beside either half splits at its
   // slot, which leaves room at the end of the left half: the second
   // descent places it.
@@ -418,15 +448,20 @@ Status BTreeStore::PutLocked(std::string_view key, std::string_view value) {
     BTreePage page = View(leaf->page);
     const size_t i = page.LowerBound(key);
     if (i < page.count() && page.key(i) == key) {
-      GADGET_RETURN_IF_ERROR(ReleaseValue(page, i));
+      if (page.overflowed(i)) {
+        old_walk = WalkChain(page, i, nullptr, &old_chain);
+      }
       if (page.Overwrite(i, entry.head, entry.body)) {
-        return Status::Ok();
+        return FreeChain(old_walk, old_chain);
       }
       page.Erase(i);
     }
     auto placed = InsertLeafEntry(page, i, entry);
-    if (!placed.ok() || *placed) {
+    if (!placed.ok()) {
       return placed.status();
+    }
+    if (*placed) {
+      return FreeChain(old_walk, old_chain);
     }
   }
   return Status::Corruption(TreePath(dir_) + ": no leaf takes a key of " +
@@ -526,13 +561,17 @@ Status BTreeStore::DeleteLocked(std::string_view key) {
   if (i == page.count()) {
     return Status::Ok();  // blind delete of a missing key is a no-op
   }
-  GADGET_RETURN_IF_ERROR(ReleaseValue(page, i));
+  std::vector<uint32_t> chain;
+  Status walk;
+  if (page.overflowed(i)) {
+    walk = WalkChain(page, i, nullptr, &chain);
+  }
   page.Erase(i);
   MarkDirty(&*leaf);
   // No rebalancing: an emptied leaf stays linked and later inserts in its
   // key range refill it; its page never returns to the free list (see the
   // header).
-  return Status::Ok();
+  return FreeChain(walk, chain);
 }
 
 Status BTreeStore::RmwLocked(std::string_view key, std::string_view operand) {

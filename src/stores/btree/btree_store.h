@@ -17,23 +17,27 @@
 // page); Put, Write and ReadModifyWrite refuse a longer key with
 // InvalidArgument and leave the store unchanged.
 //
-// Write-back model: the pool is a write-back cache whose budget is the
-// store's only memory bound, as BerkeleyDB's own cache is. A mutated page
-// keeps the pin on its pool frame until it is written back, so it is
-// charged to the pool and cannot be evicted: the pool always holds the
-// page's current bytes. The dirty set is a table indexed by page id that
-// holds each dirty page's bytes and pin, and a descent reads it before the
-// pool: a page the store already pins costs no shard lock. Dirty pages are
-// written back in page order, and unpinned, on Flush(), Checkpoint() and
-// Close(), and when the pool is under pressure: the first call after the
-// pool had to admit a frame over budget because every frame in a shard was
-// pinned (BufferPool::overshoots()) writes back this store's whole dirty
-// set. A tree that fits the pool writes nothing until it is flushed.
+// Write-back model: the pool is a write-back cache whose budget bounds the
+// store's pages, as BerkeleyDB's own cache does. A mutated page keeps the
+// pin on its pool frame until it is written back, so it is charged to the
+// pool and cannot be evicted: the pool always holds the page's current
+// bytes. The dirty set is a table indexed by page id that holds each dirty
+// page's bytes and pin, and a descent reads it before the pool: a page the
+// store already pins costs no shard lock. The table itself sits outside the
+// pool budget (see dirty_): a 640-byte chunk per 16 page ids that hold a
+// dirty page, freed at write-back, and an 8-byte slot per 16 page ids of
+// the file. Dirty pages are written back in page order, and unpinned, on
+// Flush(), Checkpoint() and Close(), and when the pool is under pressure:
+// the first call after the pool had to admit a frame over budget because
+// every frame in a shard was pinned (BufferPool::overshoots()) writes back
+// this store's whole dirty set. A tree that fits the pool writes nothing
+// until it is flushed.
 // Crash-consistency (journaling) is out of scope — the paper benchmarks the
 // storage engine data path, not transactional recovery (DESIGN.md §2).
 #ifndef GADGET_STORES_BTREE_BTREE_STORE_H_
 #define GADGET_STORES_BTREE_BTREE_STORE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -55,7 +59,8 @@ struct BTreeOptions {
   // page file opened with a size other than its own.
   uint32_t page_size = 4096;
   // Page residency, dirty pages included, is bounded by the BufferPool
-  // passed to Open (sized by StoreOptions::buffer_pool), not per-store.
+  // passed to Open (sized by StoreOptions::buffer_pool), not per-store. The
+  // store's dirty-page table is not charged to it (see the header comment).
 };
 
 class BTreeStore : public KVStore {
@@ -125,6 +130,10 @@ class BTreeStore : public KVStore {
     char* page = nullptr;
     PinnedBlock pin;
   };
+  // dirty_ holds page ids in chunks of kDirtyChunkPages (640 bytes).
+  static constexpr uint32_t kDirtyChunkShift = 4;
+  static constexpr uint32_t kDirtyChunkPages = 1u << kDirtyChunkShift;
+  using DirtyChunk = std::array<DirtyPage, kDirtyChunkPages>;
 
   BTreeStore(std::string dir, const BTreeOptions& opts, std::shared_ptr<BufferPool> pool);
 
@@ -134,13 +143,16 @@ class BTreeStore : public KVStore {
   Status CheckKeySize(std::string_view key) const;
 
   // --- page cache (mu_ held) ---
-  // dirty_, then the pool, then disk. A dirty page is an index into dirty_
-  // and a load: no shard lock, no pin. A miss is one pread plus
-  // CheckBTreePage. `fill_cache` = false skips pool admission on a miss.
+  // dirty_, then the pool, then disk. A dirty page is two loads from
+  // dirty_: no shard lock, no pin. A miss is one pread plus CheckBTreePage.
+  // `fill_cache` = false skips pool admission on a miss.
   StatusOr<PageRef> FetchPage(uint32_t page_id, bool fill_cache = true) REQUIRES(mu_);
   // The dirty page `page_id`, or null when it is not dirty.
   char* DirtyPageOrNull(uint32_t page_id) const REQUIRES(mu_) {
-    return page_id < dirty_.size() ? dirty_[page_id].page : nullptr;
+    const size_t chunk = page_id >> kDirtyChunkShift;
+    return chunk < dirty_.size() && dirty_[chunk] != nullptr
+               ? (*dirty_[chunk])[page_id & (kDirtyChunkPages - 1)].page
+               : nullptr;
   }
   // Registers a page about to be mutated in dirty_, which keeps its pin
   // (idempotent: a page already dirty keeps its first pin).
@@ -148,8 +160,8 @@ class BTreeStore : public KVStore {
   // Admits a new page to the pool, pinned and dirty (splits, new roots), and
   // returns its bytes for the caller to format.
   char* InstallPage(uint32_t page_id) REQUIRES(mu_);
-  // Writes every dirty page to the page file in page order and unpins it
-  // (no sync).
+  // Writes every dirty page to the page file in page order, unpins it and
+  // frees its chunk of dirty_ (no sync).
   Status WriteBackDirtyLocked() REQUIRES(mu_);
   // Full write-back once the pool has overshot its budget since this store
   // last looked: the dirty set's pins are what keep the pool over budget.
@@ -193,8 +205,20 @@ class BTreeStore : public KVStore {
   StatusOr<uint32_t> StoreOverflow(std::string_view value) REQUIRES(mu_);
   // Leaf slot i's value, inline or from its chain.
   Status LoadValue(const BTreePage& leaf, size_t i, std::string* out) REQUIRES(mu_);
-  // Returns slot i's overflow chain, if it has one, to the free list.
-  Status ReleaseValue(const BTreePage& leaf, size_t i) REQUIRES(mu_);
+  // Reads overflowed slot i's chain into `value` and its page ids into
+  // `pages` (either may be null). Corruption when a link leaves the file,
+  // reaches a dirty page or outruns the value's length, or when the chunks
+  // do not add up to it; listing pages also refuses a chain that visits a
+  // page twice. Reads only: a failure changes nothing.
+  Status WalkChain(const BTreePage& leaf, size_t i, std::string* value,
+                   std::vector<uint32_t>* pages) REQUIRES(mu_);
+  // Returns to the free list the chain of an overwritten or deleted value,
+  // which `walk` (WalkChain's status) listed in `pages`. Callers free a
+  // chain only after its slot stops naming it, so a failure part-way leaks
+  // the rest and leaves the tree whole. A chain whose walk failed is left
+  // to leak, and the walk's error is returned: the write took effect, and
+  // the corruption is reported.
+  Status FreeChain(const Status& walk, const std::vector<uint32_t>& pages) REQUIRES(mu_);
   // The most pages a chain holding `length` bytes may have.
   uint64_t ChainPages(uint32_t length) const { return length / (opts_.page_size - 8) + 1; }
 
@@ -217,10 +241,15 @@ class BTreeStore : public KVStore {
   uint32_t free_head_ GUARDED_BY(mu_) = 0;
   uint32_t height_ GUARDED_BY(mu_) = 1;
 
-  // Mutated pages not yet written back, indexed by page id, each holding
-  // its frame's pin: exactly the dirty set, sized to the highest page
-  // dirtied since the last write-back (40 bytes per page id).
-  std::vector<DirtyPage> dirty_ GUARDED_BY(mu_);
+  // Mutated pages not yet written back, each holding its frame's pin:
+  // exactly the dirty set. Page id p is entry p % kDirtyChunkPages of chunk
+  // p / kDirtyChunkPages. A chunk is allocated when one of its pages is
+  // first dirtied and freed at write-back, so chunks follow the dirty set
+  // (at most 640 bytes per dirty page, 40 when whole runs of neighbours are
+  // dirty, as a tree built in the pool's budget is); the vector of chunk
+  // pointers keeps its length, 8 bytes per 16 page ids up to the highest
+  // page ever dirtied.
+  std::vector<std::unique_ptr<DirtyChunk>> dirty_ GUARDED_BY(mu_);
   // Fetches dirty_ served: pool hits the pool never saw, which stats()
   // adds to its cache_hits.
   uint64_t dirty_hits_ GUARDED_BY(mu_) = 0;

@@ -640,6 +640,82 @@ TEST(BTreeStoreTest, FreeListLinkOutsideTheFileIsCorruption) {
   ASSERT_TRUE((*store)->Close().ok());
 }
 
+TEST(BTreeStoreTest, ChainLinkToADirtyPageFreesNothing) {
+  // Two three-page overflow values whose second pages both link to the page
+  // the next split will take: a dirty leaf past the end of the file. The
+  // overwrite and the delete that meet these chains must take effect and
+  // report the corruption, but free no page of a chain they could not walk
+  // whole. A page freed while a slot still named it would be handed to a
+  // later value as well; a page freed twice would loop the free list.
+  ScopedTempDir dir;
+  constexpr uint32_t kPage = 4096;
+  const std::string path = dir.path() + "/btree.db";
+  const std::string chain_value(3 * (kPage - 8), 'o');
+  {
+    auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE((*store)->Put("big", chain_value).ok());   // pages 2, 3, 4
+    ASSERT_TRUE((*store)->Put("big2", chain_value).ok());  // pages 5, 6, 7
+    ASSERT_TRUE((*store)->Put("a", "1").ok());
+    ASSERT_TRUE((*store)->Close().ok());
+  }
+  std::string file;
+  ASSERT_TRUE(ReadFileToString(path, &file).ok());
+  const uint32_t split_page = DecodeFixed32(file.data() + 8);  // the meta page's next page
+  ASSERT_EQ(split_page, 8u);
+  ASSERT_EQ(file.size(), static_cast<size_t>(split_page) * kPage);
+  for (const uint32_t second : {3u, 6u}) {
+    ASSERT_EQ(DecodeFixed32(file.data() + static_cast<size_t>(second) * kPage), second + 1);
+    std::memcpy(&file[static_cast<size_t>(second) * kPage], &split_page, 4);
+  }
+  ASSERT_TRUE(WriteStringToFile(path, file, /*sync=*/false).ok());
+
+  auto store = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto* btree = static_cast<BTreeStore*>(store->get());
+  auto key_of = [](int i) { return "k" + std::to_string(1000 + i); };
+  int keys = 0;
+  while (btree->height() == 1) {
+    ASSERT_TRUE((*store)->Put(key_of(keys++), std::string(40, 's')).ok()) << keys;
+  }
+  ASSERT_GT(btree->num_pages(), split_page);  // the root leaf split into it
+
+  const std::string fresh(3 * (kPage - 8), 'n');
+  const Status put = (*store)->Put("big", fresh);
+  EXPECT_TRUE(put.IsCorruption()) << put.ToString();
+  EXPECT_NE(put.ToString().find(path), std::string::npos) << put.ToString();
+  ASSERT_TRUE((*store)->Put("big", fresh).ok());  // the retry frees a chain it wrote
+  const Status del = (*store)->Delete("big2");
+  EXPECT_TRUE(del.IsCorruption()) << del.ToString();
+  ASSERT_TRUE((*store)->Delete("big2").ok());
+  // Two values that take their pages from the free list.
+  ASSERT_TRUE((*store)->Put("c", std::string(3 * (kPage - 8), 'c')).ok());
+  ASSERT_TRUE((*store)->Put("d", std::string(2 * (kPage - 8), 'd')).ok());
+
+  auto check = [&](KVStore* s) {
+    std::string value;
+    ASSERT_TRUE(s->Get("big", &value).ok());
+    EXPECT_EQ(value, fresh);
+    EXPECT_TRUE(s->Get("big2", &value).IsNotFound());
+    ASSERT_TRUE(s->Get("c", &value).ok());
+    EXPECT_EQ(value, std::string(3 * (kPage - 8), 'c'));
+    ASSERT_TRUE(s->Get("d", &value).ok());
+    EXPECT_EQ(value, std::string(2 * (kPage - 8), 'd'));
+    ASSERT_TRUE(s->Get("a", &value).ok());
+    EXPECT_EQ(value, "1");
+    for (int i = 0; i < keys; ++i) {
+      ASSERT_TRUE(s->Get(key_of(i), &value).ok()) << i;
+    }
+    ASSERT_TRUE(static_cast<BTreeStore*>(s)->CheckInvariants().ok());
+  };
+  check(store->get());
+  ASSERT_TRUE((*store)->Close().ok());
+  auto reopened = BTreeStore::Open(dir.path(), BTreeOptions());
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  check(reopened->get());
+  ASSERT_TRUE((*reopened)->Close().ok());
+}
+
 TEST(BTreeStoreTest, RejectsSyncWrites) {
   // The B+tree has no log to sync; asking for synced writes must fail
   // rather than silently run unsynced.
