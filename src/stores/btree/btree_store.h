@@ -207,9 +207,9 @@ class BTreeStore : public KVStore {
   Status LoadValue(const BTreePage& leaf, size_t i, std::string* out) REQUIRES(mu_);
   // Reads overflowed slot i's chain into `value` and its page ids into
   // `pages` (either may be null). Corruption when a link leaves the file,
-  // reaches a dirty page or outruns the value's length, or when the chunks
-  // do not add up to it; listing pages also refuses a chain that visits a
-  // page twice. Reads only: a failure changes nothing.
+  // reaches a dirty page or outruns the value's length (so no page is
+  // listed twice), or when the chunks do not add up to it. Reads only: a
+  // failure changes nothing.
   Status WalkChain(const BTreePage& leaf, size_t i, std::string* value,
                    std::vector<uint32_t>* pages) REQUIRES(mu_);
   // Returns to the free list the chain of an overwritten or deleted value,
