@@ -3,9 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/common/json.h"
-#include "src/gadget/report.h"
-
 namespace gadget {
 namespace bench {
 
@@ -86,34 +83,6 @@ StatusOr<ReplayResult> ReplayOnStore(const std::vector<StateAccess>& trace,
     return close;
   }
   return result;
-}
-
-Status EmitBenchJson(const std::string& path, const std::string& name,
-                     const std::vector<BenchRun>& runs) {
-  JsonValue doc = JsonValue::MakeObject();
-  doc.Set("schema", kBenchSchema);
-  doc.Set("name", name);
-  JsonValue meta = JsonValue::MakeObject();
-  meta.Set("git", GitDescribe());
-  meta.Set("timestamp", CurrentTimestamp());
-  meta.Set("events_budget", EventsBudget());
-  meta.Set("ops_budget", OpsBudget());
-  doc.Set("meta", std::move(meta));
-  JsonValue arr = JsonValue::MakeArray();
-  for (const BenchRun& run : runs) {
-    JsonValue r = JsonValue::MakeObject();
-    r.Set("label", run.label);
-    r.Set("engine", run.engine);
-    r.Set("result", ReplayResultToJson(run.result));
-    r.Set("stats", StoreStatsToJson(run.stats));
-    arr.Append(std::move(r));
-  }
-  doc.Set("runs", std::move(arr));
-  std::string text = doc.Write(/*indent=*/2);
-  text += '\n';
-  GADGET_RETURN_IF_ERROR(WriteStringToFile(path, text));
-  std::printf("bench report written to %s (%zu runs)\n", path.c_str(), runs.size());
-  return Status::Ok();
 }
 
 void PrintHeader(const std::string& title) {

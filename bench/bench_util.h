@@ -51,20 +51,6 @@ StatusOr<ReplayResult> ReplayOnStore(const std::vector<StateAccess>& trace,
                                      const std::string& engine, const ScopedTempDir& dir,
                                      const std::string& tag);
 
-// One labeled measurement inside a gadget.bench/1 document.
-struct BenchRun {
-  std::string label;   // comparison key for report_check, e.g. "replay/lsm"
-  std::string engine;
-  ReplayResult result;
-  StoreStats stats;
-};
-
-// Writes a gadget.bench/1 JSON document (src/gadget/report.h) so CI can
-// validate and diff bench output. `name` identifies the bench binary, e.g.
-// "micro_stores" -> conventionally written to BENCH_micro.json.
-Status EmitBenchJson(const std::string& path, const std::string& name,
-                     const std::vector<BenchRun>& runs);
-
 // Table formatting.
 void PrintHeader(const std::string& title);
 void PrintRow(const std::vector<std::string>& cells, const std::vector<int>& widths);

@@ -111,15 +111,15 @@ bool GenWal(const std::string& root) {
   if (!writer.ok()) {
     return false;
   }
-  if (!(*writer)->Append(RecType::kValue, "key-a", "value-a", /*sync=*/false).ok() ||
-      !(*writer)->Append(RecType::kMergeStack, "key-b", "+1", /*sync=*/false).ok() ||
-      !(*writer)->Append(RecType::kTombstone, "key-a", "", /*sync=*/false).ok()) {
-    return false;
-  }
-  WriteBatch batch;
-  batch.Put("bk1", "bv1");
-  batch.Delete("bk2");
-  if (!(*writer)->AppendBatch(batch, /*sync=*/false).ok() || !(*writer)->Close().ok()) {
+  // Three v1 records (groups of one), then one v2 record of two ops.
+  if (!(*writer)->AppendGroup({{RecType::kValue, "key-a", "value-a"}}, /*sync=*/false).ok() ||
+      !(*writer)->AppendGroup({{RecType::kMergeStack, "key-b", "+1"}}, /*sync=*/false).ok() ||
+      !(*writer)->AppendGroup({{RecType::kTombstone, "key-a", ""}}, /*sync=*/false).ok() ||
+      !(*writer)
+           ->AppendGroup({{RecType::kValue, "bk1", "bv1"}, {RecType::kTombstone, "bk2", ""}},
+                         /*sync=*/false)
+           .ok() ||
+      !(*writer)->Close().ok()) {
     return false;
   }
   return Emit(root, "wal", "mixed_records", FileBytes(path));

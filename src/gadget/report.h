@@ -2,19 +2,16 @@
 // document capturing everything one evaluator run measured: run metadata,
 // the final ReplayResult (with full histograms as sparse bucket arrays, so a
 // parsed report merges bit-identically), the timeline samples, and the
-// store's StoreStats. CI consumes reports through tools/report_check, which
-// validates the schema and diffs two reports under a regression budget.
-//
-// Two schema kinds share the machinery:
-//   gadget.report/1 — one evaluator run (tools/gadget --report=FILE);
-//   gadget.bench/1  — a set of labeled runs from one bench binary
-//                     (bench_util's EmitBenchJson).
+// store's StoreStats. tools/gadget --report=FILE writes one; CI consumes it
+// through tools/report_check, which validates the schema and gates on the
+// recovery and server sections. Reports are not diffed against each other:
+// a performance claim rests on alternating pairs of runs, not on one run
+// against one run.
 #ifndef GADGET_GADGET_REPORT_H_
 #define GADGET_GADGET_REPORT_H_
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/json.h"
@@ -25,7 +22,6 @@
 namespace gadget {
 
 inline constexpr char kReportSchema[] = "gadget.report/1";
-inline constexpr char kBenchSchema[] = "gadget.bench/1";
 
 struct ReportMeta {
   std::string engine;
@@ -52,25 +48,10 @@ bool HistogramFromJson(const JsonValue& v, LatencyHistogram* out);
 // Every StoreStats counter by field name, plus "level_files" as an array.
 JsonValue StoreStatsToJson(const StoreStats& s);
 
-// Timeline sample: interval bounds/throughput/not_found, read+write op
-// counts with p50/p99/p999, bytes in/out pulled up from the stats delta,
-// checkpoint count/time for the interval, and the full "stats_delta" object.
-JsonValue TimelineSampleToJson(const TimelineSample& s);
-
-// One checkpoint taken during replay: position, timing, image size/capture.
-JsonValue CheckpointSampleToJson(const CheckpointSample& s);
-
-// The crash/restore scenario outcome (the report's optional "recovery"
-// object): restore + gap-replay timing and oracle verification counts.
-JsonValue RecoveryResultToJson(const RecoveryResult& r);
-
-// The "result" payload shared by both schemas: scalars, full histograms,
-// timeline array, and (when checkpointing ran) the "checkpoints" array.
-JsonValue ReplayResultToJson(const ReplayResult& result);
-
-// Assembles the gadget.report/1 document. `recovery` is optional (nullptr =
-// no crash/restore scenario ran); when present it becomes the top-level
-// "recovery" object.
+// Assembles the gadget.report/1 document: "meta", "result" (scalars, full
+// histograms, the timeline and, when checkpointing ran, the checkpoints),
+// "stats", and the optional "recovery" object (nullptr = no crash/restore
+// scenario ran).
 JsonValue BuildReportJson(const ReportMeta& meta, const ReplayResult& result,
                           const StoreStats& stats, const RecoveryResult* recovery = nullptr);
 
@@ -79,25 +60,11 @@ Status WriteReportJson(const std::string& path, const ReportMeta& meta,
                        const ReplayResult& result, const StoreStats& stats,
                        const RecoveryResult* recovery = nullptr);
 
-// Structural validation: Ok iff `doc` is a well-formed gadget.report/1 or
-// gadget.bench/1 document (schema tag, required sections and field types,
-// histograms that restore cleanly). InvalidArgument names the first problem.
+// Structural validation: Ok iff `doc` is a well-formed gadget.report/1
+// document (schema tag, required sections and field types, histograms that
+// restore cleanly). Any other schema is an "unknown schema" error.
+// InvalidArgument names the first problem.
 Status ValidateReportJson(const JsonValue& doc);
-
-struct RegressionCheck {
-  bool passed = true;
-  size_t compared = 0;                // metrics actually compared
-  std::vector<std::string> failures;  // one human-readable line per breach
-};
-
-// Compares `candidate` against `baseline` (both must validate and carry the
-// same schema). Throughput may drop, and overall-latency p50/p99/p999 may
-// rise, by at most `max_regression` (fractional: 0.15 = 15%). Bench
-// documents compare run-by-run matched on label; runs present on only one
-// side are skipped. Returns the verdict; Status is only non-Ok for
-// malformed inputs.
-StatusOr<RegressionCheck> CompareReportJson(const JsonValue& baseline,
-                                            const JsonValue& candidate, double max_regression);
 
 }  // namespace gadget
 

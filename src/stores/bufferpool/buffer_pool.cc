@@ -78,23 +78,14 @@ PinnedBlock BufferPool::Lookup(uint64_t file_id, uint64_t offset) {
   return PinnedBlock(this, shard_index, std::move(f));
 }
 
-PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
-                               std::shared_ptr<const std::string> data,
-                               std::shared_ptr<void> object, size_t charge) {
+PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset, std::string bytes,
+                               size_t charge) {
   Shard& s = ShardFor(file_id, offset);
   size_t shard_index = static_cast<size_t>(&s - shards_.data());
   MutexLock lock(&s.mu);
   auto it = s.map.find(Key{file_id, offset});
   if (it != s.map.end()) {
-    // Repin the existing frame; fill in whichever representation it lacks
-    // (a raw block can gain its decoded object and vice versa).
     std::shared_ptr<Frame> f = it->second;
-    if (f->data == nullptr && data != nullptr) {
-      f->data = std::move(data);
-    }
-    if (f->object == nullptr && object != nullptr) {
-      f->object = std::move(object);
-    }
     pins_.fetch_add(1, std::memory_order_relaxed);
     ++f->pins;
     f->referenced = true;
@@ -106,8 +97,7 @@ PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
   auto f = std::make_shared<Frame>();
   f->file = file_id;
   f->offset = offset;
-  f->data = std::move(data);
-  f->object = std::move(object);
+  f->data = std::move(bytes);
   f->charge = charge;
   f->pins = 1;
   s.ring.push_back(f);
@@ -122,9 +112,8 @@ PinnedBlock BufferPool::Insert(uint64_t file_id, uint64_t offset,
 }
 
 PinnedBlock BufferPool::InsertBlock(uint64_t file_id, uint64_t offset, std::string block) {
-  size_t charge = block.size();
-  auto data = std::make_shared<const std::string>(std::move(block));
-  return Insert(file_id, offset, std::move(data), nullptr, charge);
+  const size_t charge = block.size();
+  return Insert(file_id, offset, std::move(block), charge);
 }
 
 void BufferPool::RemoveFrameLocked(Shard& s, const std::shared_ptr<Frame>& f) {

@@ -335,15 +335,9 @@ void LsmStore::CommitGroupLocked(Writer* w) {
     mu_.Lock();
 
     if (s.ok()) {
-      for (Writer* other : group) {
-        if (other->batch != nullptr) {
-          for (size_t i = 0; i < other->batch->size(); ++i) {
-            const WriteBatch::Entry& e = other->batch->entry(i);
-            ApplyOpLocked(RecTypeForOp(e.op), e.key, e.value);
-          }
-        } else {
-          ApplyOpLocked(other->type, other->key, other->value);
-        }
+      // Apply exactly what was logged, in log order.
+      for (const WalWriter::GroupOp& op : ops) {
+        ApplyOpLocked(op.type, op.key, op.value);
       }
       if (group.size() >= 2) {
         ++stats_.wal_group_commits;
@@ -696,7 +690,7 @@ void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size
           continue;  // bloom/index miss: no I/O for this table
         }
         PinnedBlock cached = reader->CacheLookup(offset);
-        if (cached.has_data()) {
+        if (cached) {
           apply_block(r, cached.data(), reader->path());
           continue;
         }
@@ -741,7 +735,7 @@ void LsmStore::SearchTablesUnlocked(const Version& version, KeyRead* reads, size
         inserted = b.reader->CacheInsert(b.offset, std::move(b.io.out));
       }
       const std::string_view view =
-          inserted.has_data() ? inserted.data() : std::string_view(b.io.out);
+          inserted ? inserted.data() : std::string_view(b.io.out);
       for (KeyRead* w : b.waiters) {
         apply_block(w, view, b.reader->path());
       }

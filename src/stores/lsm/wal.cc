@@ -14,18 +14,6 @@ void PutOp(std::string* payload, RecType type, std::string_view key, std::string
   payload->append(value.data(), value.size());
 }
 
-RecType RecTypeFor(WriteBatch::Op op) {
-  switch (op) {
-    case WriteBatch::Op::kPut:
-      return RecType::kValue;
-    case WriteBatch::Op::kMerge:
-      return RecType::kMergeStack;
-    case WriteBatch::Op::kDelete:
-      return RecType::kTombstone;
-  }
-  return RecType::kValue;
-}
-
 // Decodes `type | varint klen | key | varint vlen | value` from [*pp, limit).
 // Advances *pp past the op on success.
 bool GetOp(const char** pp, const char* limit, RecType* type, std::string_view* key,
@@ -82,38 +70,16 @@ Status WalWriter::AppendPayload(bool sync) {
   return file_->Flush();
 }
 
-Status WalWriter::Append(RecType type, std::string_view key, std::string_view value, bool sync) {
-  payload_.clear();
-  payload_.reserve(key.size() + value.size() + 12);
-  PutOp(&payload_, type, key, value);
-  return AppendPayload(sync);
-}
-
-Status WalWriter::AppendBatch(const WriteBatch& batch, bool sync) {
-  if (batch.empty()) {
-    return Status::Ok();
-  }
-  payload_.clear();
-  payload_.push_back(static_cast<char>(kBatchRecordTag));
-  PutVarint32(&payload_, static_cast<uint32_t>(batch.size()));
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const WriteBatch::Entry& e = batch.entry(i);
-    PutOp(&payload_, RecTypeFor(e.op), e.key, e.value);
-  }
-  return AppendPayload(sync);
-}
-
 Status WalWriter::AppendGroup(const std::vector<GroupOp>& ops, bool sync) {
   if (ops.empty()) {
     return Status::Ok();
   }
-  if (ops.size() == 1) {
-    // A group of one is just a v1 record — no tag/count framing overhead.
-    return Append(ops[0].type, ops[0].key, ops[0].value, sync);
-  }
   payload_.clear();
-  payload_.push_back(static_cast<char>(kBatchRecordTag));
-  PutVarint32(&payload_, static_cast<uint32_t>(ops.size()));
+  if (ops.size() > 1) {
+    // A group of one is a v1 record, without the v2 tag and count.
+    payload_.push_back(static_cast<char>(kBatchRecordTag));
+    PutVarint32(&payload_, static_cast<uint32_t>(ops.size()));
+  }
   for (const GroupOp& op : ops) {
     PutOp(&payload_, op.type, op.key, op.value);
   }

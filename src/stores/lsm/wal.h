@@ -31,7 +31,6 @@
 
 #include "src/common/file_util.h"
 #include "src/common/status.h"
-#include "src/stores/kvstore.h"
 #include "src/stores/lsm/format.h"
 
 namespace gadget {
@@ -44,24 +43,19 @@ class WalWriter {
  public:
   static StatusOr<std::unique_ptr<WalWriter>> Create(const std::string& path);
 
-  Status Append(RecType type, std::string_view key, std::string_view value, bool sync);
-
-  // Appends the whole batch as one v2 record: one crc, one buffered write,
-  // one fsync when `sync`. Batch ops map kPut -> kValue, kMerge ->
-  // kMergeStack (single raw operand, same convention as Append), kDelete ->
-  // kTombstone.
-  Status AppendBatch(const WriteBatch& batch, bool sync);
-
-  // One logical operation inside a cross-writer commit group. Views point
-  // into the enqueued writers' storage, which stays alive until the group
-  // leader signals completion.
+  // One logical operation inside a commit group. Views point into the
+  // enqueued writers' storage, which stays alive until the group leader
+  // signals completion. A batch's ops map kPut -> kValue, kMerge ->
+  // kMergeStack (a single raw operand) and kDelete -> kTombstone.
   struct GroupOp {
     RecType type;
     std::string_view key;
     std::string_view value;
   };
-  // Appends the whole group as one v2 record: one crc, one buffered write,
-  // one fsync when `sync` — the cross-writer group-commit path.
+  // The only append: one record, one crc, one buffered write and one fsync
+  // when `sync` for the whole group. A group of one is a v1 record; a larger
+  // group (a WriteBatch, or several writers' ops) is one v2 record. An empty
+  // group writes nothing.
   Status AppendGroup(const std::vector<GroupOp>& ops, bool sync);
 
   Status Close();

@@ -445,12 +445,13 @@ TEST(WalBatchTest, BatchRecordRoundTripsInOrder) {
   {
     auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "solo", "s", /*sync=*/false).ok());
-    WriteBatch wb;
-    wb.Put("a", "1");
-    wb.Merge("b", "2");
-    wb.Delete("c");
-    ASSERT_TRUE((*wal)->AppendBatch(wb, /*sync=*/true).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "solo", "s"}}, /*sync=*/false).ok());
+    ASSERT_TRUE((*wal)
+                    ->AppendGroup({{RecType::kValue, "a", "1"},
+                                   {RecType::kMergeStack, "b", "2"},
+                                   {RecType::kTombstone, "c", ""}},
+                                  /*sync=*/true)
+                    .ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
 
@@ -468,13 +469,12 @@ TEST(WalBatchTest, BatchRecordRoundTripsInOrder) {
   EXPECT_EQ(ops[3], std::make_tuple(RecType::kTombstone, "c", ""));
 }
 
-TEST(WalBatchTest, EmptyBatchWritesNothing) {
+TEST(WalBatchTest, EmptyGroupWritesNothing) {
   ScopedTempDir dir;
   const std::string path = dir.path() + "/wal.log";
   auto wal = WalWriter::Create(path);
   ASSERT_TRUE(wal.ok());
-  WriteBatch empty;
-  ASSERT_TRUE((*wal)->AppendBatch(empty, /*sync=*/false).ok());
+  ASSERT_TRUE((*wal)->AppendGroup({}, /*sync=*/false).ok());
   EXPECT_EQ((*wal)->size(), 0u);
   ASSERT_TRUE((*wal)->Close().ok());
 }
@@ -485,12 +485,17 @@ TEST(WalBatchTest, TornBatchRecordIsAllOrNothing) {
   {
     auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "durable", "yes", /*sync=*/false).ok());
-    WriteBatch wb;
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "durable", "yes"}}, /*sync=*/false).ok());
+    std::vector<std::string> keys;
     for (int i = 0; i < 8; ++i) {
-      wb.Put("batch" + std::to_string(i), std::string(32, 'v'));
+      keys.push_back("batch" + std::to_string(i));
     }
-    ASSERT_TRUE((*wal)->AppendBatch(wb, /*sync=*/false).ok());
+    const std::string value(32, 'v');
+    std::vector<WalWriter::GroupOp> group;
+    for (const std::string& key : keys) {
+      group.push_back({RecType::kValue, key, value});
+    }
+    ASSERT_TRUE((*wal)->AppendGroup(group, /*sync=*/false).ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
 
@@ -525,11 +530,12 @@ TEST(WalBatchTest, LsmReplaysGroupCommitRecordOnOpen) {
   {
     auto wal = WalWriter::Create(dir + "/wal-1.log");
     ASSERT_TRUE(wal.ok());
-    WriteBatch wb;
-    wb.Put("a", "1");
-    wb.Put("b", "2");
-    wb.Delete("a");
-    ASSERT_TRUE((*wal)->AppendBatch(wb, /*sync=*/true).ok());
+    ASSERT_TRUE((*wal)
+                    ->AppendGroup({{RecType::kValue, "a", "1"},
+                                   {RecType::kValue, "b", "2"},
+                                   {RecType::kTombstone, "a", ""}},
+                                  /*sync=*/true)
+                    .ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
 
@@ -554,11 +560,12 @@ TEST(WalBatchTest, LsmDropsTornGroupCommitRecordOnOpen) {
   {
     auto wal = WalWriter::Create(wal_path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "synced", "v", /*sync=*/true).ok());
-    WriteBatch wb;
-    wb.Put("torn1", "x");
-    wb.Put("torn2", "y");
-    ASSERT_TRUE((*wal)->AppendBatch(wb, /*sync=*/false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "synced", "v"}}, /*sync=*/true).ok());
+    ASSERT_TRUE(
+        (*wal)
+            ->AppendGroup({{RecType::kValue, "torn1", "x"}, {RecType::kValue, "torn2", "y"}},
+                          /*sync=*/false)
+            .ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
   std::string data;

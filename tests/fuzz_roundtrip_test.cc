@@ -108,7 +108,7 @@ TEST_P(FormatFuzzTest, WalRandomRecordsRoundTrip) {
       RecType type = static_cast<RecType>(rng.NextBounded(3));
       std::string key = RandomBytes(rng, 60);
       std::string value = RandomBytes(rng, 2000);
-      ASSERT_TRUE((*wal)->Append(type, key, value, false).ok());
+      ASSERT_TRUE((*wal)->AppendGroup({{type, key, value}}, false).ok());
       records.emplace_back(type, key, value);
     }
     ASSERT_TRUE((*wal)->Close().ok());
@@ -290,7 +290,7 @@ TEST(MalformedWalTest, ReplayStopsAtCorruptionKeepingPrefix) {
     ASSERT_TRUE(wal.ok());
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(
-          (*wal)->Append(RecType::kValue, "k" + std::to_string(i), "v", false).ok());
+          (*wal)->AppendGroup({{RecType::kValue, "k" + std::to_string(i), "v"}}, false).ok());
     }
     ASSERT_TRUE((*wal)->Close().ok());
   }

@@ -384,9 +384,9 @@ TEST(WalTest, ReplayRoundTrip) {
   {
     auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "k1", "v1", false).ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kMergeStack, "k2", "op", false).ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kTombstone, "k3", "", false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k1", "v1"}}, false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kMergeStack, "k2", "op"}}, false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kTombstone, "k3", ""}}, false).ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
   std::vector<std::tuple<RecType, std::string, std::string>> records;
@@ -405,8 +405,8 @@ TEST(WalTest, TornTailStopsCleanly) {
   {
     auto wal = WalWriter::Create(path);
     ASSERT_TRUE(wal.ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "k1", "v1", false).ok());
-    ASSERT_TRUE((*wal)->Append(RecType::kValue, "k2", "v2", false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k1", "v1"}}, false).ok());
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k2", "v2"}}, false).ok());
     ASSERT_TRUE((*wal)->Close().ok());
   }
   std::string raw;
