@@ -3,8 +3,9 @@
 // lookups, and two LSM cases nothing else measures:
 //   BM_ColdRead     serial Get against MultiGet x64 through a 64 KiB pool,
 //                   the only benchmark of the IoBackend read wave;
-//   BM_WriterSweep  wall-clock ReplaySharded at 1, 2 and 4 unsynced writer
-//                   threads on one store, with the WAL group-commit counters.
+//   BM_WriterSweep  wall-clock ReplaySharded at 1, 2 and 4 writer threads
+//                   on one store, unsynced and with sync_writes, with the
+//                   WAL group-commit and fdatasync counters.
 // Their engine counters travel as google-benchmark counters, so
 // --benchmark_out=FILE --benchmark_out_format=json records them with the
 // timings. GADGET_OPS bounds both cases' sizes (bench_util.h). A case that
@@ -308,14 +309,16 @@ BENCHMARK_CAPTURE(BM_ColdRead, multiget64, size_t{64})
 
 // Concurrent writers on one LSM store: ReplaySharded partitions one put/get
 // trace by key hash (so the single-writer-per-key invariant holds) over
-// state.range(0) threads, and the case times the whole call. Writes are
-// unsynced, so a writer seldom waits long enough for another to join its
+// state.range(0) threads, and the case times the whole call. With
+// sync_writes=0 a writer seldom waits long enough for another to join its
 // group: wal_group_commits counts the groups that did form, and is often 0
-// at small GADGET_OPS or two threads. It measures how wall-clock replay
-// scales with writers, not what group commit saves (EXPERIMENTS.md has the
-// synced sweep).
+// at small GADGET_OPS or two threads, so that setting measures how
+// wall-clock replay scales with writers. With sync_writes=1 every group
+// pays one fdatasync (wal_fsyncs), which writers arriving meanwhile share:
+// the cross-writer group commit and the WAL's sync path.
 void BM_WriterSweep(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
+  const bool sync_writes = state.range(1) != 0;
   const uint64_t ops = bench::OpsBudget();
   std::vector<StateAccess> trace;
   trace.reserve(ops);
@@ -329,11 +332,16 @@ void BM_WriterSweep(benchmark::State& state) {
   }
   uint64_t group_commits = 0;
   uint64_t group_size_max = 0;
+  uint64_t fsyncs = 0;
   uint64_t stall_micros = 0;
   for (auto _ : state) {
     state.PauseTiming();
     auto dir = std::make_unique<ScopedTempDir>("bench-micro-mt");
-    auto store = bench::OpenBenchStore("lsm", *dir, "sweep");
+    StoreOptions opts;
+    opts.engine = "lsm";
+    opts.dir = dir->path() + "/lsm-sweep";
+    opts.sync_writes = sync_writes;
+    auto store = OpenStore(opts);
     if (!store.ok()) {
       Fail(state, "open lsm", store.status());
       break;
@@ -349,6 +357,7 @@ void BM_WriterSweep(benchmark::State& state) {
     const StoreStats stats = (*store)->stats();
     group_commits += stats.wal_group_commits;
     group_size_max = std::max(group_size_max, stats.wal_group_size_max);
+    fsyncs += stats.wal_fsyncs;
     stall_micros += stats.stall_micros + stats.slowdown_micros;
     if (const Status s = (*store)->Close(); !s.ok()) {
       Fail(state, "close lsm", s);
@@ -362,14 +371,14 @@ void BM_WriterSweep(benchmark::State& state) {
   state.counters["wal_group_commits"] = benchmark::Counter(static_cast<double>(group_commits),
                                                            benchmark::Counter::kAvgIterations);
   state.counters["wal_group_size_max"] = static_cast<double>(group_size_max);
+  state.counters["wal_fsyncs"] =
+      benchmark::Counter(static_cast<double>(fsyncs), benchmark::Counter::kAvgIterations);
   state.counters["stall_ms"] = benchmark::Counter(static_cast<double>(stall_micros) / 1e3,
                                                   benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_WriterSweep)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->ArgNames({"threads", "sync_writes"})
+    ->ArgsProduct({{1, 2, 4}, {0, 1}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -7,6 +7,7 @@
 // Run once when an encoder changes shape; the outputs are checked in. Fuzz
 // crashers get added to the same directories by hand (CI uploads them as
 // artifacts) and become permanent regressions via the fallback driver.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -122,7 +123,39 @@ bool GenWal(const std::string& root) {
       !(*writer)->Close().ok()) {
     return false;
   }
-  return Emit(root, "wal", "mixed_records", FileBytes(path));
+  if (!Emit(root, "wal", "mixed_records", FileBytes(path))) {
+    return false;
+  }
+
+  // A log that was never closed, as a crash leaves it: records, then the
+  // zero-filled rest of the reserved window, cut to 64 bytes to keep the
+  // seed small. The second seed tears its last record: the bytes after its
+  // first half read as the zero tail.
+  const std::string live_path = tmp.path() + "/live.wal";
+  auto live = WalWriter::Create(live_path);
+  if (!live.ok() ||
+      !(*live)->AppendGroup({{RecType::kValue, "key-a", "value-a"}}, /*sync=*/false).ok() ||
+      !(*live)
+           ->AppendGroup({{RecType::kMergeStack, "key-b", "+1"}, {RecType::kValue, "bk1", "bv1"}},
+                         /*sync=*/false)
+           .ok()) {
+    return false;
+  }
+  const uint64_t intact = (*live)->size();
+  if (!(*live)->AppendGroup({{RecType::kValue, "key-c", "value-c"}}, /*sync=*/false).ok()) {
+    return false;
+  }
+  const uint64_t logged = (*live)->size();
+  std::string zero_tail = FileBytes(live_path);
+  if (!(*live)->Close().ok() || zero_tail.size() < logged + 64) {
+    return false;
+  }
+  zero_tail.resize(logged + 64);
+  std::string torn = zero_tail;
+  std::fill(torn.begin() + static_cast<std::ptrdiff_t>(intact + (logged - intact) / 2), torn.end(),
+            '\0');
+  return Emit(root, "wal", "zero_tail", zero_tail) &&
+         Emit(root, "wal", "torn_before_zero_tail", torn);
 }
 
 bool GenManifest(const std::string& root) {

@@ -1,8 +1,10 @@
 #include "src/common/file_util.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -21,7 +23,7 @@ Status ErrnoStatus(const std::string& context) {
 // ---------------------------------------------------------------- WritableFile
 
 // status intentionally ignored: destructors cannot propagate errors; durable
-// writers (WAL, SSTable builder) call Close() explicitly and check.
+// writers (the SSTable builder) call Close() explicitly and check.
 WritableFile::~WritableFile() { (void)Close(); }
 
 StatusOr<std::unique_ptr<WritableFile>> WritableFile::Create(const std::string& path) {
@@ -82,11 +84,12 @@ Status WritableFile::FlushBuffer() {
   return Status::Ok();
 }
 
-Status WritableFile::Flush() { return fd_ < 0 ? Status::Ok() : FlushBuffer(); }
-
 Status WritableFile::Sync() {
-  GADGET_RETURN_IF_ERROR(Flush());
-  return fd_ < 0 ? Status::Ok() : SyncData(fd_, path_);
+  if (fd_ < 0) {
+    return Status::Ok();
+  }
+  GADGET_RETURN_IF_ERROR(FlushBuffer());
+  return SyncData(fd_, path_);
 }
 
 Status WritableFile::Close() {
@@ -94,6 +97,85 @@ Status WritableFile::Close() {
     return Status::Ok();
   }
   Status s = FlushBuffer();
+  if (::close(fd_) != 0 && s.ok()) {
+    s = ErrnoStatus("close " + path_);
+  }
+  fd_ = -1;
+  return s;
+}
+
+// --------------------------------------------------------------- MappedLogFile
+
+// status intentionally ignored: destructors cannot propagate errors; the WAL
+// calls Close() explicitly and checks.
+MappedLogFile::~MappedLogFile() { (void)Close(); }
+
+StatusOr<std::unique_ptr<MappedLogFile>> MappedLogFile::Create(const std::string& path) {
+  int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return ErrnoStatus("open " + path);
+  }
+  return std::unique_ptr<MappedLogFile>(new MappedLogFile(path, fd));
+}
+
+Status MappedLogFile::Append(std::string_view data) {
+  if (fd_ < 0) {
+    return Status::IoError("append to closed file " + path_);
+  }
+  const uint64_t end = size_ + data.size();
+  if (end > reserved_) {
+    const uint64_t reserve_end = (end + kWindowBytes - 1) / kWindowBytes * kWindowBytes;
+    // posix_fallocate returns its error instead of setting errno.
+    int rc = 0;
+    do {
+      rc = ::posix_fallocate(fd_, static_cast<off_t>(reserved_),
+                             static_cast<off_t>(reserve_end - reserved_));
+    } while (rc == EINTR);
+    if (rc != 0) {
+      errno = rc;
+      return ErrnoStatus("posix_fallocate " + path_);
+    }
+    reserved_ = reserve_end;
+  }
+  while (!data.empty()) {
+    if (size_ == window_end_) {
+      // size_ is window-aligned here: windows are only left full.
+      GADGET_RETURN_IF_ERROR(Unmap());
+      void* p = ::mmap(nullptr, kWindowBytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd_,
+                       static_cast<off_t>(size_));
+      if (p == MAP_FAILED) {
+        return ErrnoStatus("mmap " + path_);
+      }
+      window_ = static_cast<char*>(p);
+      window_end_ = size_ + kWindowBytes;
+    }
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(data.size(), window_end_ - size_));
+    std::memcpy(window_ + (size_ + kWindowBytes - window_end_), data.data(), n);
+    size_ += n;
+    data.remove_prefix(n);
+  }
+  return Status::Ok();
+}
+
+Status MappedLogFile::Sync() { return fd_ < 0 ? Status::Ok() : SyncData(fd_, path_); }
+
+Status MappedLogFile::Unmap() {
+  if (window_ == nullptr) {
+    return Status::Ok();
+  }
+  const int rc = ::munmap(window_, kWindowBytes);
+  window_ = nullptr;
+  return rc == 0 ? Status::Ok() : ErrnoStatus("munmap " + path_);
+}
+
+Status MappedLogFile::Close() {
+  if (fd_ < 0) {
+    return Status::Ok();
+  }
+  Status s = Unmap();
+  if (const Status t = Truncate(fd_, size_, path_); s.ok()) {
+    s = t;
+  }
   if (::close(fd_) != 0 && s.ok()) {
     s = ErrnoStatus("close " + path_);
   }

@@ -1,7 +1,7 @@
 // RAII file and filesystem helpers shared by the persistent stores and trace
-// writers: buffered sequential writers/readers, random-access readers,
-// positional reads and writes, data syncs and truncation, atomic renames, and
-// scoped temp directories for tests/benches.
+// writers: buffered sequential writers/readers, a mapped append-only log,
+// random-access readers, positional reads and writes, data syncs and
+// truncation, atomic renames, and scoped temp directories for tests/benches.
 #ifndef GADGET_COMMON_FILE_UTIL_H_
 #define GADGET_COMMON_FILE_UTIL_H_
 
@@ -16,7 +16,9 @@
 
 namespace gadget {
 
-// Buffered append-only writer (used by WAL, SSTable builder, log segments).
+// Buffered append-only writer (used by the SSTable builder, whole-file writes
+// and trace writers). Appended bytes reach the kernel only when the buffer
+// fills, on Sync and on Close.
 class WritableFile {
  public:
   ~WritableFile();
@@ -26,9 +28,8 @@ class WritableFile {
   static StatusOr<std::unique_ptr<WritableFile>> Create(const std::string& path);
 
   Status Append(std::string_view data);
-  Status Flush();
-  Status Sync();   // flush + fdatasync
-  Status Close();  // flush + close; safe to call twice
+  Status Sync();   // write the buffer + fdatasync
+  Status Close();  // write the buffer + close; safe to call twice
 
   uint64_t size() const { return size_; }
   const std::string& path() const { return path_; }
@@ -42,6 +43,45 @@ class WritableFile {
   int fd_;
   std::string buffer_;
   uint64_t size_ = 0;
+};
+
+// Append-only log written through a shared file mapping (used by the WAL).
+// Append copies bytes straight into the mapped window, so they are in the
+// page cache, which a process crash keeps, with no syscall per append. Disk
+// space is allocated a window at a time, before the window is mapped, and
+// never by extending the file with ftruncate, so a full disk is an IoError
+// from Append, not a SIGBUS on a store into the mapping. Until Close, the file ends in the
+// zero-filled rest of its last window; Close unmaps it and truncates the file
+// to the bytes appended.
+class MappedLogFile {
+ public:
+  // Mapped pages count in RSS, so the window is small and fixed.
+  static constexpr uint64_t kWindowBytes = 256 * 1024;
+
+  ~MappedLogFile();
+  MappedLogFile(const MappedLogFile&) = delete;
+  MappedLogFile& operator=(const MappedLogFile&) = delete;
+
+  static StatusOr<std::unique_ptr<MappedLogFile>> Create(const std::string& path);
+
+  // Reserves every window `data` reaches before copying any of it, so a
+  // failed reservation appends nothing.
+  Status Append(std::string_view data);
+  Status Sync();   // fdatasync: what Append copied survives a power loss
+  Status Close();  // unmap + truncate to the bytes appended + close; safe to call twice
+
+ private:
+  MappedLogFile(std::string path, int fd) : path_(std::move(path)), fd_(fd) {}
+
+  // Unmaps the current window, if any.
+  Status Unmap();
+
+  std::string path_;
+  int fd_;
+  char* window_ = nullptr;   // file bytes [window_end_ - kWindowBytes, window_end_)
+  uint64_t window_end_ = 0;  // 0 while nothing is mapped
+  uint64_t size_ = 0;        // bytes appended
+  uint64_t reserved_ = 0;  // file bytes with disk space allocated
 };
 
 // Positional (pread) random-access reader for SSTables / pages.

@@ -815,13 +815,23 @@ void LsmStore::FlusherThread() {
     // manifest-listed file whose entry a crash erased.
     Status dir_sync = meta.ok() ? SyncDir(dir_) : Status::Ok();
     mu_.Lock();
+    std::unique_ptr<MemTable> retired;
     Status s = !dir_sync.ok()
                    ? dir_sync
-                   : (meta.ok() ? InstallFlushLocked(std::move(*meta)) : meta.status());
+                   : (meta.ok() ? InstallFlushLocked(std::move(*meta), &retired) : meta.status());
     if (s.ok()) {
       ++stats_.flushes;
       stats_.flush_micros += MicrosSince(flush_start);
-      mu_.Unlock();
+    } else if (bg_error_.ok()) {
+      bg_error_ = s;
+    }
+    stall_cv_.SignalAll();  // writers waiting for queue room, Flush() waiters
+    work_cv_.SignalAll();   // L0 may have reached the compaction trigger
+    mu_.Unlock();
+    // Freeing every entry of a large memtable takes tens of milliseconds;
+    // nothing reaches it once it has left imm_, so it is freed unlocked.
+    retired.reset();
+    if (s.ok()) {
       // The generation's records are durable in the SSTable and the manifest
       // that stops listing it is durable (SaveManifest returns only after the
       // rename's directory entry is synced), so the log is dead weight. This
@@ -831,20 +841,18 @@ void LsmStore::FlusherThread() {
       // status intentionally ignored: failing to unlink a dead log wastes
       // disk but loses nothing — recovery's floor rule skips stale logs.
       (void)RemoveFile(WalPath(dir_, wal_gen));
-      mu_.Lock();
-    } else if (bg_error_.ok()) {
-      bg_error_ = s;
     }
-    stall_cv_.SignalAll();  // writers waiting for queue room, Flush() waiters
-    work_cv_.SignalAll();   // L0 may have reached the compaction trigger
+    mu_.Lock();
   }
 }
 
-Status LsmStore::InstallFlushLocked(std::shared_ptr<FileMeta> meta) {
+Status LsmStore::InstallFlushLocked(std::shared_ptr<FileMeta> meta,
+                                    std::unique_ptr<MemTable>* retired) {
   stats_.io_bytes_written += meta->size;
   auto version = std::make_shared<Version>(*current_);
   version->levels[0].push_back(std::move(meta));
   current_ = std::move(version);
+  *retired = std::move(imm_.front().mem);
   imm_.pop_front();
   return PersistManifestLocked();
 }
@@ -1378,18 +1386,21 @@ StatusOr<CheckpointInfo> LsmStore::Checkpoint(const std::string& dir,
     // retires a generation only through InstallFlushLocked (which needs
     // mu_), so every file listed above exists for the duration of the copy.
     // A leader may be appending to the active generation off-lock, but a
-    // group is one CRC-framed record whose bytes reach the fd before any
-    // writer in it is acknowledged — the copy therefore captures every
-    // acknowledged write, and at worst a torn tail of an in-flight
+    // group is one CRC-framed record whose bytes are in the mapped log
+    // before any writer in it is acknowledged — the copy therefore captures
+    // every acknowledged write, and at worst a torn tail of an in-flight
     // (unacknowledged) group, which replay discards exactly as after a
-    // crash.
+    // crash. The active generation's file ends in its reserved zero tail,
+    // which the copy leaves out: the sealed generations are closed, and so
+    // truncated to their records.
     for (uint64_t n : data.wal_numbers) {
-      GADGET_RETURN_IF_ERROR(CopyFile(WalPath(dir_, n), WalPath(dir, n), /*sync=*/true));
-      auto wal_size = FileSize(WalPath(dir, n));
-      if (!wal_size.ok()) {
-        return wal_size.status();
+      std::string bytes;
+      GADGET_RETURN_IF_ERROR(ReadFileToString(WalPath(dir_, n), &bytes));
+      if (wal_ != nullptr && n == wal_number_) {
+        bytes.resize(std::min<uint64_t>(bytes.size(), wal_->size()));
       }
-      info.bytes += *wal_size;
+      GADGET_RETURN_IF_ERROR(WriteStringToFile(WalPath(dir, n), bytes, /*sync=*/true));
+      info.bytes += bytes.size();
       ++info.files;
     }
   }

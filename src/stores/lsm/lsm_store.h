@@ -186,8 +186,11 @@ class LsmStore : public KVStore {
   // + install inline, rotate the WAL generation. Requires the immutable
   // queue empty (older data must reach L0 first).
   Status FlushActiveMemLocked() REQUIRES(mu_);
-  // Installs a built L0 file and persists the manifest.
-  Status InstallFlushLocked(std::shared_ptr<FileMeta> meta) REQUIRES(mu_);
+  // Installs a built L0 file, moves the flushed memtable out of imm_ into
+  // *retired (for the caller to free with mu_ released) and persists the
+  // manifest.
+  Status InstallFlushLocked(std::shared_ptr<FileMeta> meta, std::unique_ptr<MemTable>* retired)
+      REQUIRES(mu_);
 
   // Persists the current version + live WAL generations.
   Status PersistManifestLocked() REQUIRES(mu_);

@@ -13,6 +13,8 @@
 #define GADGET_STORES_LSM_MEMTABLE_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -53,17 +55,24 @@ class MemTable {
   };
   template <typename Fn>
   void ForEachFlushRecord(Fn&& fn) const {
-    std::vector<const Table::value_type*> sorted;
+    // Sorts (key prefix, entry) pairs: most comparisons read the prefix in
+    // the pair and never follow the pointer to the key. Zero padding keeps
+    // the prefix order bytewise, so whole keys are compared only on a tie.
+    struct Ref {
+      uint64_t prefix;
+      const Table::value_type* slot;
+    };
+    std::vector<Ref> sorted;
     sorted.reserve(table_.size());
     for (const auto& slot : table_) {
-      sorted.push_back(&slot);
+      sorted.push_back({KeyPrefix(slot.first), &slot});
     }
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Table::value_type* a, const Table::value_type* b) {
-                return a->first < b->first;
-              });
+    std::sort(sorted.begin(), sorted.end(), [](const Ref& a, const Ref& b) {
+      return a.prefix != b.prefix ? a.prefix < b.prefix : a.slot->first < b.slot->first;
+    });
     std::string stack;
-    for (const Table::value_type* slot : sorted) {
+    for (const Ref& ref : sorted) {
+      const Table::value_type* slot = ref.slot;
       const Entry& e = slot->second;
       if (e.type == RecType::kMergeStack) {
         stack.clear();
@@ -93,6 +102,17 @@ class MemTable {
 
   // The key's entry, created (and counted) if absent.
   Entry& Slot(std::string_view key);
+
+  // The key's first 8 bytes, zero-padded, as a big-endian integer.
+  static uint64_t KeyPrefix(std::string_view key) {
+    unsigned char bytes[8] = {};
+    std::memcpy(bytes, key.data(), std::min<size_t>(key.size(), sizeof(bytes)));
+    uint64_t prefix = 0;
+    for (unsigned char b : bytes) {
+      prefix = (prefix << 8) | b;
+    }
+    return prefix;
+  }
 
   Table table_;
   uint64_t bytes_ = 0;

@@ -47,27 +47,11 @@ bool GetOp(const char** pp, const char* limit, RecType* type, std::string_view* 
 }  // namespace
 
 StatusOr<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path) {
-  auto file = WritableFile::Create(path);
+  auto file = MappedLogFile::Create(path);
   if (!file.ok()) {
     return file.status();
   }
   return std::unique_ptr<WalWriter>(new WalWriter(std::move(*file)));
-}
-
-Status WalWriter::AppendPayload(bool sync) {
-  scratch_.clear();
-  PutFixed32(&scratch_, MaskCrc(Crc32c(0, payload_.data(), payload_.size())));
-  PutVarint32(&scratch_, static_cast<uint32_t>(payload_.size()));
-  scratch_ += payload_;
-  GADGET_RETURN_IF_ERROR(file_->Append(scratch_));
-  bytes_.fetch_add(scratch_.size(), std::memory_order_relaxed);
-  if (sync) {
-    fsyncs_.fetch_add(1, std::memory_order_relaxed);
-    return file_->Sync();
-  }
-  // WAL durability without per-record fsync still requires the data to reach
-  // the OS promptly so a process crash (not power loss) cannot lose it.
-  return file_->Flush();
 }
 
 Status WalWriter::AppendGroup(const std::vector<GroupOp>& ops, bool sync) {
@@ -83,7 +67,18 @@ Status WalWriter::AppendGroup(const std::vector<GroupOp>& ops, bool sync) {
   for (const GroupOp& op : ops) {
     PutOp(&payload_, op.type, op.key, op.value);
   }
-  return AppendPayload(sync);
+  // At most 9 bytes, so the header stays in the string's inline buffer.
+  std::string header;
+  PutFixed32(&header, MaskCrc(Crc32c(0, payload_.data(), payload_.size())));
+  PutVarint32(&header, static_cast<uint32_t>(payload_.size()));
+  GADGET_RETURN_IF_ERROR(file_->Append(header));
+  GADGET_RETURN_IF_ERROR(file_->Append(payload_));
+  bytes_.fetch_add(header.size() + payload_.size(), std::memory_order_relaxed);
+  if (sync) {
+    fsyncs_.fetch_add(1, std::memory_order_relaxed);
+    return file_->Sync();
+  }
+  return Status::Ok();
 }
 
 Status WalWriter::Close() { return file_->Close(); }

@@ -18,7 +18,9 @@
 // the record is durable. Pre-v2 log files contain only v1 records and replay
 // unchanged (backward compatible).
 //
-// A torn tail (partial final record after a crash) stops replay cleanly.
+// A torn tail (partial final record after a crash) stops replay cleanly, and
+// so does the zero-filled reserved tail of a log that was never closed
+// (MappedLogFile): an all-zero header fails the crc check.
 #ifndef GADGET_STORES_LSM_WAL_H_
 #define GADGET_STORES_LSM_WAL_H_
 
@@ -52,10 +54,12 @@ class WalWriter {
     std::string_view key;
     std::string_view value;
   };
-  // The only append: one record, one crc, one buffered write and one fsync
-  // when `sync` for the whole group. A group of one is a v1 record; a larger
-  // group (a WriteBatch, or several writers' ops) is one v2 record. An empty
-  // group writes nothing.
+  // The only append: one record, one crc, one copy into the mapped log and
+  // one fdatasync when `sync` for the whole group. A group of one is a v1
+  // record; a larger group (a WriteBatch, or several writers' ops) is one v2
+  // record. An empty group writes nothing. On return the record is in the
+  // page cache, which a process crash keeps; only `sync` survives a power
+  // loss.
   Status AppendGroup(const std::vector<GroupOp>& ops, bool sync);
 
   Status Close();
@@ -68,12 +72,9 @@ class WalWriter {
   uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
 
  private:
-  explicit WalWriter(std::unique_ptr<WritableFile> file) : file_(std::move(file)) {}
+  explicit WalWriter(std::unique_ptr<MappedLogFile> file) : file_(std::move(file)) {}
 
-  Status AppendPayload(bool sync);
-
-  std::unique_ptr<WritableFile> file_;
-  std::string scratch_;
+  std::unique_ptr<MappedLogFile> file_;
   std::string payload_;
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> fsyncs_{0};

@@ -419,6 +419,104 @@ TEST(WalTest, TornTailStopsCleanly) {
   EXPECT_EQ(*n, 1u);  // first record survives, torn second is skipped
 }
 
+// Replays `path` into (key, value) pairs in log order.
+std::vector<std::pair<std::string, std::string>> ReplayPairs(const std::string& path) {
+  std::vector<std::pair<std::string, std::string>> out;
+  auto n = ReplayWal(path, [&](RecType, std::string_view k, std::string_view v) {
+    out.emplace_back(std::string(k), std::string(v));
+  });
+  EXPECT_TRUE(n.ok()) << n.status().ToString();
+  return out;
+}
+
+// The mapped log reserves whole windows, so a live log is longer than its
+// records until Close truncates it: a copy taken without Close (what a
+// process crash leaves) ends in zeros, and replay stops at the first one.
+TEST(WalTest, LiveCopyEndsInZeroTailAndCloseTruncatesToRecords) {
+  ScopedTempDir dir;
+  const std::string path = dir.path() + "/wal.log";
+  const std::string copy = dir.path() + "/copy.log";
+  auto wal = WalWriter::Create(path);
+  ASSERT_TRUE(wal.ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k" + std::to_string(i), "v"}}, false).ok());
+  }
+  ASSERT_TRUE(CopyFile(path, copy).ok());
+  auto copy_size = FileSize(copy);
+  ASSERT_TRUE(copy_size.ok());
+  EXPECT_EQ(*copy_size, MappedLogFile::kWindowBytes);
+  EXPECT_GT(*copy_size, (*wal)->size());
+  const auto pairs = ReplayPairs(copy);
+  ASSERT_EQ(pairs.size(), 100u);
+  EXPECT_EQ(pairs[99].first, "k99");
+
+  ASSERT_TRUE((*wal)->Close().ok());
+  auto closed_size = FileSize(path);
+  ASSERT_TRUE(closed_size.ok());
+  EXPECT_EQ(*closed_size, (*wal)->size());
+  EXPECT_EQ(ReplayPairs(path), pairs);
+}
+
+// A record that straddles a window boundary, and a group larger than one
+// window, replay intact from the live file and from the closed one.
+TEST(WalTest, RecordsSpanningWindowsReplayIntact) {
+  ScopedTempDir dir;
+  const std::string path = dir.path() + "/wal.log";
+  const std::string copy = dir.path() + "/copy.log";
+  const uint64_t window = MappedLogFile::kWindowBytes;
+  auto fill = [](char c, uint64_t n) { return std::string(static_cast<size_t>(n), c); };
+  // 1: ends 100 bytes short of the first boundary; 2: straddles it;
+  // 3: one group of three values, 1.5 windows in all, so it spans windows 2-4.
+  const std::string first = fill('a', window - 120);
+  const std::string second = fill('b', 5000);
+  const std::string big = fill('c', window / 2);
+  auto wal = WalWriter::Create(path);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "first", first}}, false).ok());
+  ASSERT_LT((*wal)->size(), window);
+  ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "second", second}}, false).ok());
+  ASSERT_GT((*wal)->size(), window);
+  ASSERT_TRUE((*wal)
+                  ->AppendGroup({{RecType::kValue, "big1", big},
+                                 {RecType::kMergeStack, "big2", big},
+                                 {RecType::kValue, "big3", big}},
+                                /*sync=*/true)
+                  .ok());
+  EXPECT_EQ((*wal)->fsyncs(), 1u);
+  ASSERT_GT((*wal)->size(), 2 * window);
+  ASSERT_TRUE(CopyFile(path, copy).ok());
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"first", first}, {"second", second}, {"big1", big}, {"big2", big}, {"big3", big}};
+  EXPECT_EQ(ReplayPairs(copy), want);
+  ASSERT_TRUE((*wal)->Close().ok());
+  EXPECT_EQ(ReplayPairs(path), want);
+}
+
+// A record torn inside a window, with the reserved zero tail after it (a
+// crash that kept only part of the record's bytes): replay applies every
+// record before it and stops there.
+TEST(WalTest, TornRecordBeforeZeroTailStopsThere) {
+  ScopedTempDir dir;
+  const std::string path = dir.path() + "/wal.log";
+  auto wal = WalWriter::Create(path);
+  ASSERT_TRUE(wal.ok());
+  ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k1", "v1"}}, false).ok());
+  ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k2", "v2"}}, false).ok());
+  const uint64_t intact = (*wal)->size();
+  ASSERT_TRUE((*wal)->AppendGroup({{RecType::kValue, "k3", std::string(100, 'x')}}, false).ok());
+  const uint64_t logged = (*wal)->size();
+  std::string raw;
+  ASSERT_TRUE(ReadFileToString(path, &raw).ok());
+  ASSERT_TRUE((*wal)->Close().ok());
+  ASSERT_EQ(raw.size(), MappedLogFile::kWindowBytes);
+  // Lose the second half of the third record: zeros up to the window's end.
+  const uint64_t tear = intact + (logged - intact) / 2;
+  std::fill(raw.begin() + static_cast<std::ptrdiff_t>(tear), raw.end(), '\0');
+  ASSERT_TRUE(WriteStringToFile(path, raw).ok());
+  const std::vector<std::pair<std::string, std::string>> want = {{"k1", "v1"}, {"k2", "v2"}};
+  EXPECT_EQ(ReplayPairs(path), want);
+}
+
 // ----------------------------------------------------------------- manifest
 
 TEST(ManifestTest, SaveLoadRoundTrip) {

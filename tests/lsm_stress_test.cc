@@ -1,8 +1,11 @@
 // Stress and failure-injection tests for the LSM engine: simulated crashes
-// (recovery from a mid-run directory snapshot), merge-stack survival across
-// deep compaction, bloom parameter sweeps, and write stalls.
+// (recovery from a mid-run directory snapshot), WAL windows and a refused
+// WAL reservation, merge-stack survival across deep compaction, bloom
+// parameter sweeps, and write stalls.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <csignal>
 #include <filesystem>
 #include <map>
 
@@ -447,6 +450,160 @@ TEST(LsmCrashTest, ManifestReferencingMissingSstableFailsLoudly) {
   ASSERT_TRUE(removed);
   auto store = LsmStore::Open(snap, opts);
   EXPECT_FALSE(store.ok());
+}
+
+// The path of the store's one WAL generation in `dir`.
+std::string OnlyWal(const std::string& dir) {
+  std::string found;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.starts_with("wal-") && name.ends_with(".log")) {
+      EXPECT_TRUE(found.empty()) << "second WAL generation " << name;
+      found = entry.path().string();
+    }
+  }
+  EXPECT_FALSE(found.empty());
+  return found;
+}
+
+// Reopens `dir` and checks that every key reads its expected value.
+void ExpectReopenReads(const std::string& dir, const std::map<std::string, std::string>& expected) {
+  auto store = LsmStore::Open(dir, LsmOptions());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (const auto& [key, value] : expected) {
+    std::string got;
+    ASSERT_TRUE((*store)->Get(key, &got).ok()) << key;
+    EXPECT_EQ(got, value) << key;
+  }
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+// Unsynced writes are acknowledged once their record is in the mapped WAL,
+// that is, in the page cache: a copy of the live files (what `kill -9`
+// leaves) holds every one of them. The copy's WAL is longer than the bytes
+// logged, because the log reserves whole windows and only Close truncates.
+TEST(LsmCrashTest, LiveWalCopyHoldsEveryUnsyncedAck) {
+  ScopedTempDir dir;
+  const std::string live = dir.path() + "/live";
+  const std::string snap = dir.path() + "/snapshot";
+  std::map<std::string, std::string> expected;
+  auto store = LsmStore::Open(live, LsmOptions());
+  ASSERT_TRUE(store.ok());
+  for (int i = 0; i < 500; ++i) {
+    const std::string key = "k" + std::to_string(i % 200);
+    const std::string op = "+" + std::to_string(i);
+    if (i % 3 == 0) {
+      ASSERT_TRUE((*store)->Put(key, op).ok());
+      expected[key] = op;
+    } else {
+      ASSERT_TRUE((*store)->Merge(key, op).ok());
+      expected[key] += op;
+    }
+  }
+  const uint64_t logged = (*store)->stats().wal_bytes;
+  SnapshotDir(live, snap);
+  auto copied = FileSize(OnlyWal(snap));
+  ASSERT_TRUE(copied.ok());
+  EXPECT_GT(*copied, logged);
+  ExpectReopenReads(snap, expected);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+// A record that straddles a window boundary, and a WriteBatch larger than a
+// whole window, survive the same crash copy.
+TEST(LsmCrashTest, WalRecordsSpanningWindowsSurviveACrashCopy) {
+  ScopedTempDir dir;
+  const std::string live = dir.path() + "/live";
+  const std::string snap = dir.path() + "/snapshot";
+  const size_t window = MappedLogFile::kWindowBytes;
+  std::map<std::string, std::string> expected;
+  auto store = LsmStore::Open(live, LsmOptions());
+  ASSERT_TRUE(store.ok());
+  // Two values of 0.4 windows each: the third record straddles the boundary.
+  for (int i = 0; i < 3; ++i) {
+    const std::string key = "straddle" + std::to_string(i);
+    expected[key] = std::string(window * 2 / 5, static_cast<char>('a' + i));
+    ASSERT_TRUE((*store)->Put(key, expected[key]).ok());
+  }
+  ASSERT_GT((*store)->stats().wal_bytes, window);
+  WriteBatch batch;
+  for (int i = 0; i < 6; ++i) {
+    const std::string key = "batch" + std::to_string(i);
+    expected[key] = std::string(window / 4, static_cast<char>('p' + i));
+    batch.Put(key, expected[key]);
+  }
+  ASSERT_TRUE((*store)->Write(batch).ok());
+  ASSERT_GT((*store)->stats().wal_bytes, 2 * window + window / 2);
+  SnapshotDir(live, snap);
+  ExpectReopenReads(snap, expected);
+  ASSERT_TRUE((*store)->Close().ok());
+}
+
+// Lowers the process's file-size limit and ignores SIGXFSZ, restoring both on
+// destruction: a WAL window that would end past the limit cannot be
+// allocated (EFBIG).
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    ok_ = ::getrlimit(RLIMIT_FSIZE, &old_) == 0;
+    rlimit lowered = old_;
+    lowered.rlim_cur = bytes;
+    ok_ = ok_ && ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit old_{};
+  void (*old_handler_)(int) = SIG_DFL;
+  bool ok_ = false;
+};
+
+// A WAL append that needs a window the filesystem refuses fails with an
+// IoError and poisons the store, without a crash (the mapping never reaches
+// past the reserved bytes, so no store faults). Every write acknowledged
+// before it survives a reopen.
+TEST(LsmCrashTest, RefusedWalWindowPoisonsWithoutCrash) {
+  ScopedTempDir dir;
+  const std::string path = dir.path() + "/db";
+  std::map<std::string, std::string> acked;
+  Status refused;
+  {
+    auto store = LsmStore::Open(path, LsmOptions());
+    ASSERT_TRUE(store.ok());
+    {
+      // Room for the first window and a little more, not for the second.
+      FileSizeLimit limit(MappedLogFile::kWindowBytes + 4096);
+      ASSERT_TRUE(limit.ok());
+      const std::string value(1000, 'v');
+      for (int i = 0; i < 1000 && refused.ok(); ++i) {
+        const std::string key = "k" + std::to_string(i);
+        refused = (*store)->Put(key, value);
+        if (refused.ok()) {
+          acked[key] = value;
+        }
+      }
+    }
+    EXPECT_TRUE(refused.IsIoError()) << refused.ToString();
+    EXPECT_GT(acked.size(), 200u);
+    EXPECT_LT(acked.size(), 300u);
+    // Poisoned: later writes fail too, and so does Close, which leaves the
+    // WAL for recovery.
+    EXPECT_FALSE((*store)->Put("after", "x").ok());
+    EXPECT_FALSE((*store)->Close().ok());
+  }
+  ExpectReopenReads(path, acked);
+  auto store = LsmStore::Open(path, LsmOptions());
+  ASSERT_TRUE(store.ok());
+  std::string got;
+  EXPECT_TRUE((*store)->Get("after", &got).IsNotFound());
+  ASSERT_TRUE((*store)->Close().ok());
 }
 
 TEST(LsmBackpressureTest, HeavyWritesDoNotWedge) {
